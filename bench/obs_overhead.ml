@@ -1,6 +1,6 @@
 (* E10: observability overhead (extension).
 
-   The obs layer rides the hottest engine paths (memo probes, trigger
+   The obs layer rides the hottest engine paths (ts probes, trigger
    sweeps, every transaction line), so its cost is measured where it
    hurts: identical inventory traffic under three modes —
 

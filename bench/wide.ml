@@ -63,7 +63,7 @@ let run ~wake ~mode n =
   for i = 0 to n - 1 do
     ignore (Engine.define_exn engine (watch_rule i))
   done;
-  let evals0 = Obs.Metrics.counter_value (Obs.Metrics.counter "memo.evals") in
+  let evals0 = Obs.Metrics.counter_value (Obs.Metrics.counter "ts.evals") in
   let wall_ns, () =
     Bench_util.time_once_ns (fun () ->
         for line = 0 to lines - 1 do
@@ -79,7 +79,7 @@ let run ~wake ~mode n =
             | Error e -> failwith (Format.asprintf "%a" Engine.pp_error e)
         done)
   in
-  let evals1 = Obs.Metrics.counter_value (Obs.Metrics.counter "memo.evals") in
+  let evals1 = Obs.Metrics.counter_value (Obs.Metrics.counter "ts.evals") in
   let s = Engine.statistics engine in
   let t = s.Engine.trigger_stats in
   {

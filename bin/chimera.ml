@@ -60,8 +60,6 @@ let print_stats interp =
     "-- %d line(s), %d event(s), %d consideration(s), %d execution(s)\n"
     stats.Engine.lines stats.Engine.events stats.Engine.considerations
     stats.Engine.executions;
-  Printf.printf "-- memo: %d hit(s), %d miss(es), %d node(s)\n"
-    stats.Engine.memo_hits stats.Engine.memo_misses stats.Engine.memo_nodes;
   (match Engine.journal (Interp.engine interp) with
   | None -> ()
   | Some j ->
@@ -210,9 +208,9 @@ let run_cmd =
 (* ----------------------------------------------------------- stats *)
 
 (* Like [run] with everything enabled: executes the script under metrics
-   and span recording, then reports the snapshot and the hottest interned
-   memo nodes — the quick profiling entry point. *)
-let stats_script top wake path =
+   and span recording, then reports the snapshot — the quick profiling
+   entry point. *)
+let stats_script wake path =
  protected @@ fun () ->
   Obs.set_enabled true;
   let interp = Interp.create ~config:(config_of_wake wake) () in
@@ -223,32 +221,6 @@ let stats_script top wake path =
   | Ok () ->
       print_string (Interp.output interp);
       Fmt.pr "%a@." Obs.pp_snapshot (Obs.snapshot ());
-      let nodes =
-        List.filter
-          (fun n -> Memo.(n.node_hits + n.node_misses) > 0)
-          (Memo.node_stats (Engine.memo (Interp.engine interp)))
-      in
-      let nodes =
-        List.sort
-          (fun a b ->
-            compare
-              Memo.(b.node_hits + b.node_misses)
-              Memo.(a.node_hits + a.node_misses))
-          nodes
-      in
-      let shown = List.filteri (fun i _ -> i < top) nodes in
-      if shown <> [] then begin
-        Fmt.pr "@.hot memo nodes (top %d of %d touched):@."
-          (List.length shown) (List.length nodes);
-        Fmt.pr "  %8s %8s %6s %6s  %s@." "hits" "misses" "inval" "cost" "node";
-        List.iter
-          (fun n ->
-            Fmt.pr "  %8d %8d %6d %6d  %s%s@." n.Memo.node_hits
-              n.Memo.node_misses n.Memo.node_invalidations n.Memo.node_cost
-              n.Memo.node_expr
-              (if n.Memo.node_cached then "" else "  [uncached]"))
-          shown
-      end;
       let spans = Obs.Trace.recorded () in
       Fmt.pr "@.%d span(s) in the trace ring (capacity %d)@."
         (List.length spans)
@@ -262,18 +234,12 @@ let stats_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"SCRIPT" ~doc:"Script file to execute.")
   in
-  let top =
-    Arg.(
-      value & opt int 10
-      & info [ "top" ] ~docv:"N" ~doc:"Hot memo nodes to list.")
-  in
   let man =
     [
       `S Manpage.s_description;
       `P
         "Executes the script with the metrics registry and span recording \
-         enabled, then reports the snapshot and the hottest interned memo \
-         nodes.";
+         enabled, then reports the snapshot.";
       `S "WAKE AND POSTING-LIST COUNTERS";
       `P
         "$(b,trigger.woken) / $(b,trigger.idle): rules drained from the \
@@ -292,6 +258,10 @@ let stats_cmd =
          per-rule trigger checks, ts probe instants, and checks skipped \
          via V(E).  The probes-per-event ratio is the headline figure of \
          the indexed wake (see bench e11).";
+      `P
+        "$(b,ts.evals) / $(b,ts.eval_ns): top-level ts evaluations (one \
+         per trigger probe) and their latency.  Every probe recomputes ts \
+         from the event-base indexes; there is no value cache.";
       `P
         "$(b,gc.floor): the commit sequence the last checkpoint cycle \
          retired journal segments at or below (bounded-state runs).  Under \
@@ -313,7 +283,7 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats" ~man
        ~doc:"Execute a script under full observability and report the snapshot")
-    Term.(ret (const stats_script $ top $ wake_arg $ path))
+    Term.(ret (const stats_script $ wake_arg $ path))
 
 (* --------------------------------------------------------- recover *)
 

@@ -32,7 +32,6 @@ module Checkpoint = Chimera_event.Checkpoint
 module Expr = Chimera_calculus.Expr
 module Expr_parse = Chimera_calculus.Expr_parse
 module Ts = Chimera_calculus.Ts
-module Memo = Chimera_calculus.Memo
 module Derived = Chimera_calculus.Derived
 module Normal_form = Chimera_calculus.Normal_form
 

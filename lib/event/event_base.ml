@@ -326,38 +326,6 @@ let last_of_type_on t ~etype ~oid ~window ~at =
         let ts = Vec.get v i in
         if Time.( > ) ts (Window.after window) then Some ts else None)
 
-(* Did any occurrence in (after, upto] carry one of [types] (under the
-   same modify-attribute aliasing the indexes use)?  The gap between two
-   successive probes is typically a handful of occurrences, so a short
-   gap is answered by scanning it once; a long one falls back to one
-   posting-list probe per type. *)
-let occurred_in t ~types ~after ~upto =
-  if Time.( >= ) after upto then false
-  else begin
-    let lo = Vec.bisect_after t.log ~key:Occurrence.timestamp after in
-    let hi = Vec.bisect_right t.log ~key:Occurrence.timestamp upto in
-    if hi < lo then false
-    else if hi - lo < 16 then begin
-      let rec scan i =
-        i <= hi
-        && (List.exists
-              (fun ty -> Event_type.Set.mem ty types)
-              (index_types (Vec.get t.log i))
-           || scan (i + 1))
-      in
-      scan lo
-    end
-    else
-      Event_type.Set.exists
-        (fun etype ->
-          match postings t etype with
-          | None -> false
-          | Some v ->
-              let i = Vec.bisect_right v ~key:(stamp_at t) upto in
-              i >= Vec.start v && Time.( > ) (stamp_at t (Vec.get v i)) after)
-        types
-  end
-
 let iter_in t ~window f =
   let lo = Vec.bisect_after t.log ~key:Occurrence.timestamp (Window.after window) in
   let n = Vec.length t.log in

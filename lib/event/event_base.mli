@@ -93,11 +93,6 @@ val newest_of_type : t -> etype:Event_type.t -> Time.t option
 (** Newest occurrence of [etype] anywhere in the log, in O(1); [None]
     when the type never occurred. *)
 
-val occurred_in :
-  t -> types:Event_type.Set.t -> after:Time.t -> upto:Time.t -> bool
-(** Did any occurrence in [(after, upto]] carry one of [types]?  Scans
-    the gap when it is short, probes the per-type indexes otherwise. *)
-
 val occurrences_in : t -> window:Window.t -> Occurrence.t list
 val iter_in : t -> window:Window.t -> (Occurrence.t -> unit) -> unit
 val timestamps_in : t -> window:Window.t -> Time.t list

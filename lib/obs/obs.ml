@@ -4,7 +4,7 @@
    Everything hangs off one global [on] flag.  The discipline throughout:
    a disabled recording call is a single load-and-branch and allocates
    nothing — instrumentation can therefore live inside the engine's hot
-   paths (memo probes, trigger checks, journal writes) without being paid
+   paths (ts probes, trigger checks, journal writes) without being paid
    for when observability is off.  Enabled-mode cost is bounded too: the
    open-span stack and the ring are preallocated arrays, so a span is two
    clock reads plus a handful of stores.

@@ -26,24 +26,6 @@ type atom =
 
 type t = atom list
 
-(* How event formulas are evaluated: recompute-from-indexes (a plain
-   [Ts.env]) or through the engine's shared memo over interned
-   expressions — the default path.  Both agree (property-tested). *)
-type evaluator =
-  | Recompute of Ts.env
-  | Memoized of { memo : Memo.t; after : Time.t }
-
-let occurred_objects ev ~at expr =
-  match ev with
-  | Recompute env -> Ts.occurred_objects env ~at expr
-  | Memoized { memo; after } -> Memo.occurred_objects memo ~after ~at expr
-
-let occurrence_instants ev ~at expr oid =
-  match ev with
-  | Recompute env -> Ts.occurrence_instants env ~at expr oid
-  | Memoized { memo; after } ->
-      Memo.occurrence_instants memo ~after ~at expr oid
-
 (* A binding environment; object variables are bound to [Value.Oid],
    time variables to [Value.Int] carrying the raw instant. *)
 type env = (string * Value.t) list
@@ -79,12 +61,12 @@ let plan atoms = List.stable_sort (fun a b -> compare (atom_cost a) (atom_cost b
 (* Candidate objects for an event formula: those affected inside the
    window.  For negation-dominated formulas the caller's class extent
    would be needed; [Occurred]/[At] fall back to it via [Range] atoms. *)
-let rec eval_atom store ev ~at atom envs : (env list, error) result =
+let rec eval_atom store ts_env ~at atom envs : (env list, error) result =
   match atom with
   | Absent atoms ->
       map_result
         (fun env ->
-          let* solutions = eval_under store ev ~at atoms [ env ] in
+          let* solutions = eval_under store ts_env ~at atoms [ env ] in
           Ok (if solutions = [] then [ env ] else []))
         envs
       |> Result.map List.concat
@@ -108,7 +90,7 @@ let rec eval_atom store ev ~at atom envs : (env list, error) result =
         envs
       |> Result.map List.concat
   | Occurred { expr; var } ->
-      let matching = occurred_objects ev ~at expr in
+      let matching = Ts.occurred_objects ts_env ~at expr in
       map_result
         (fun env ->
           match lookup env var with
@@ -127,7 +109,7 @@ let rec eval_atom store ev ~at atom envs : (env list, error) result =
       |> Result.map List.concat
   | At { expr; var; time_var } ->
       let extend env oid =
-        let instants = occurrence_instants ev ~at expr oid in
+        let instants = Ts.occurrence_instants ts_env ~at expr oid in
         List.map
           (fun tau ->
             let env =
@@ -147,7 +129,7 @@ let rec eval_atom store ev ~at atom envs : (env list, error) result =
                   (Printf.sprintf "variable %s is not an object (%s)" var
                      (Value.to_string v)))
           | None ->
-              let candidates = occurred_objects ev ~at expr in
+              let candidates = Ts.occurred_objects ts_env ~at expr in
               Ok (List.concat_map (extend env) candidates))
         envs
       |> Result.map List.concat
@@ -164,18 +146,18 @@ let rec eval_atom store ev ~at atom envs : (env list, error) result =
       |> Result.map List.concat
 
 (* Evaluates [atoms] under the given initial bindings. *)
-and eval_under store ev ~at atoms envs : (env list, error) result =
+and eval_under store ts_env ~at atoms envs : (env list, error) result =
   List.fold_left
     (fun acc atom ->
       let* envs = acc in
-      if envs = [] then Ok [] else eval_atom store ev ~at atom envs)
+      if envs = [] then Ok [] else eval_atom store ts_env ~at atom envs)
     (Ok envs) (plan atoms)
 
 (* Evaluates the condition at instant [at] against the window R carried
-   by the evaluator; returns the satisfying bindings (empty list: not
+   by the [Ts] environment; returns the satisfying bindings (empty list: not
    satisfied). *)
-let eval store ev ~at atoms : (env list, error) result =
-  eval_under store ev ~at atoms [ [] ]
+let eval store ts_env ~at atoms : (env list, error) result =
+  eval_under store ts_env ~at atoms [ [] ]
 
 (* Event types the condition's event formulas probe: the union of the
    primitive types of every [occurred]/[at] expression, including those

@@ -21,15 +21,6 @@ type atom =
 
 type t = atom list
 
-(** How event formulas are evaluated: [Recompute] re-derives every value
-    from the event-base indexes through a plain {!Ts.env}; [Memoized]
-    evaluates through the engine's shared memo over interned expressions
-    (the default engine path), against the window starting at [after] and
-    clipping at the probe instant.  Both agree (property-tested). *)
-type evaluator =
-  | Recompute of Ts.env
-  | Memoized of { memo : Memo.t; after : Time.t }
-
 (** A binding environment: object variables map to [Value.Oid], time
     variables to [Value.Int] carrying the raw instant. *)
 type env = (string * Value.t) list
@@ -44,9 +35,10 @@ val map_result : ('a -> ('b, 'e) result) -> 'a list -> ('b list, 'e) result
 (** All-or-nothing map; shared with the action interpreter. *)
 
 val eval :
-  Object_store.t -> evaluator -> at:Time.t -> t -> (env list, error) result
+  Object_store.t -> Ts.env -> at:Time.t -> t -> (env list, error) result
 (** Evaluates the condition at instant [at] against the window R carried by
-    the evaluator.  The empty list means "not satisfied".  Atoms are
+    the [Ts] environment: event formulas are recomputed from the
+    event-base indexes.  The empty list means "not satisfied".  Atoms are
     conjunctive, hence order-independent; evaluation reorders them
     cheapest-first (event formulas before ranges before comparisons). *)
 

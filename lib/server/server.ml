@@ -899,18 +899,24 @@ let handle_readable t conn =
 
 (* ------------------------------------------------------------- accept *)
 
-let reject_conn t fd =
+let reject_conn t fd reason =
   Obs.Metrics.incr c_rejects;
   let frame =
     Protocol.frame_exn ~max_frame:t.config.max_frame
-      (Protocol.reply_to_payload
-         (Protocol.Err ("busy", "server at max connections")))
+      (Protocol.reply_to_payload (Protocol.Err ("busy", reason)))
   in
   (try
      Unix.set_nonblock fd;
      ignore (Unix.write_substring fd frame 0 (String.length frame))
    with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* [Unix.select] watches only descriptors below FD_SETSIZE (1024 with
+   glibc) and fails the whole call with EINVAL when handed one above, so
+   a connection the reactor cannot watch is refused at admission.  On
+   Unix a [file_descr] is the descriptor number itself. *)
+let fd_setsize = 1024
+let selectable (fd : Unix.file_descr) = (Obj.magic fd : int) < fd_setsize
 
 let rec accept_loop t listen_fd =
   match Unix.accept listen_fd with
@@ -919,7 +925,10 @@ let rec accept_loop t listen_fd =
       ()
   | exception Unix.Unix_error _ -> ()
   | fd, _addr ->
-      if Hashtbl.length t.conns >= t.config.max_conns then reject_conn t fd
+      if Hashtbl.length t.conns >= t.config.max_conns then
+        reject_conn t fd "server at max connections"
+      else if not (selectable fd) then
+        reject_conn t fd "server out of pollable descriptors"
       else begin
         Unix.set_nonblock fd;
         (try Unix.setsockopt fd Unix.TCP_NODELAY true
@@ -1221,6 +1230,21 @@ type status = Running | Stopped
 
 let conn_list t = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
 
+(* Drains every connection's buffered frames, repeating the pass until
+   none consumes input: a session's frames can release a shard and so
+   unblock a session the pass already visited.  Each repeat consumed
+   bytes and nothing is read meanwhile, so the loop terminates. *)
+let rec resume_buffered t conns =
+  let progressed =
+    List.fold_left
+      (fun progressed c ->
+        let before = c.in_len in
+        if before > 0 then drain_frames t c;
+        progressed || c.in_len < before)
+      false conns
+  in
+  if progressed then resume_buffered t conns
+
 let poll t ~timeout =
   if t.stopped then Stopped
   else begin
@@ -1301,9 +1325,7 @@ let poll t ~timeout =
            hold undecoded frames (decoding stopped at [blocked]): resume
            them now, within the same turn, so a pipelining client is not
            one select round-trip behind its own window. *)
-        List.iter
-          (fun c -> if c.in_len > 0 then drain_frames t c)
-          conns;
+        resume_buffered t conns;
         (* Ship journal growth (this turn's commits included) to every
            attached replication follower. *)
         ship_repl t;

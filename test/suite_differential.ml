@@ -4,7 +4,8 @@
    expressions and the same event stream through four independent
    detection engines —
 
-     memo        the engine's default path (shared memoized ts)
+     engine      the engine's evaluation path (ts recomputed from the
+                 event-base indexes, logical style)
      naive       full recompute after every event
      tree        Snoop-style incremental operator tree
      automaton   Ode-style lazy DFA
@@ -14,11 +15,17 @@
    profile (negation- and instance-free), the fragment all four support.
 
    The harness runs with obs enabled and afterwards asserts from the
-   metrics registry that the memoized path actually hit its cache: a
-   differential test that silently stopped exercising the memo would
-   otherwise keep passing. *)
+   metrics registry that every engine actually evaluated: a differential
+   test that silently stopped exercising one of them would otherwise
+   keep passing. *)
 
 open Core
+
+(* ts of [e] at [at] over the window opening at [after], recomputed from
+   [eb]'s indexes in the logical style — what the engine's Trigger
+   Support evaluates at every probe. *)
+let engine_ts eb ~after ~at e =
+  Ts.ts (Ts.env eb ~window:(Window.make ~after ~upto:at)) ~at e
 
 let scenarios = 120
 
@@ -35,10 +42,7 @@ let run_scenario ~seed =
   in
   let objects = 1 + (seed mod 4) in
   let stream = Expr_gen.stream prng ~alphabet ~objects ~length:40 in
-  (* The memoized engine path: one shared memo, handles interned once. *)
   let eb = Event_base.create () in
-  let memo = Memo.create eb in
-  let handles = List.map (Memo.intern memo) exprs in
   let naive = Naive.create exprs in
   let trees = List.map Tree_detector.create exprs in
   let automata = List.map Automaton.create exprs in
@@ -55,26 +59,24 @@ let run_scenario ~seed =
       List.iter (fun a -> Automaton.on_event a ~etype) automata;
       let at = Event_base.probe_now eb in
       List.iteri
-        (fun i (expr, (handle, (tree, automaton))) ->
-          let memo_verdict =
-            Memo.active_handle memo ~after:Time.origin ~at handle
-          in
+        (fun i (expr, (tree, automaton)) ->
+          let engine_verdict = engine_ts eb ~after:Time.origin ~at expr > 0 in
           let naive_verdict = Naive.active naive i in
           let tree_verdict = Tree_detector.active tree in
           let automaton_verdict = Automaton.active automaton in
           incr comparisons;
           if
             not
-              (memo_verdict = naive_verdict
-              && memo_verdict = tree_verdict
-              && memo_verdict = automaton_verdict)
+              (engine_verdict = naive_verdict
+              && engine_verdict = tree_verdict
+              && engine_verdict = automaton_verdict)
           then
             Alcotest.failf
-              "seed %d step %d expr %s: memo=%b naive=%b tree=%b automaton=%b"
-              seed step (Expr.to_string expr) memo_verdict naive_verdict
+              "seed %d step %d expr %s: engine=%b naive=%b tree=%b \
+               automaton=%b"
+              seed step (Expr.to_string expr) engine_verdict naive_verdict
               tree_verdict automaton_verdict)
-        (List.combine exprs
-           (List.combine handles (List.combine trees automata))))
+        (List.combine exprs (List.combine trees automata)))
     stream;
   !comparisons
 
@@ -92,18 +94,8 @@ let test_verdicts_agree () =
     (Printf.sprintf "substantial comparison volume (%d)" !total)
     true
     (!total >= scenarios * 40);
-  (* The memoized path really went through its cache: the registry's
-     aggregate hit counter moved during the run. *)
+  (* Every engine really ran: the registry's aggregate counters moved. *)
   let snap = Obs.snapshot () in
-  let hits =
-    match List.assoc_opt "memo.hits" snap.Obs.counters with
-    | Some n -> n
-    | None -> Alcotest.fail "memo.hits counter not registered"
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "memo hit count > 0 (got %d)" hits)
-    true (hits > 0);
-  (* ... and the baselines really ran too. *)
   List.iter
     (fun name ->
       match List.assoc_opt name snap.Obs.counters with
@@ -111,6 +103,7 @@ let test_verdicts_agree () =
       | Some 0 -> Alcotest.failf "%s never moved" name
       | _ -> Alcotest.failf "%s not registered" name)
     [
+      "ts.evals";
       "baseline.naive.evals";
       "baseline.tree.activations";
       "baseline.automaton.transitions";
@@ -118,7 +111,7 @@ let test_verdicts_agree () =
 
 (* The same engines under consumption: restarting every engine at a
    mid-stream instant (fresh window lower bound vs detector reset) keeps
-   the verdicts aligned — the memoized path with a moved [after] bound
+   the verdicts aligned — the engine path with a moved [after] bound
    against baselines reset and replayed from that point. *)
 let test_verdicts_agree_after_restart () =
   let failures = ref 0 in
@@ -132,8 +125,6 @@ let test_verdicts_agree_after_restart () =
     let stream = Expr_gen.stream prng ~alphabet ~objects:2 ~length:30 in
     let cut = 10 + (seed mod 10) in
     let eb = Event_base.create () in
-    let memo = Memo.create eb in
-    let handle = Memo.intern memo expr in
     (* Feed the prefix, then restart detection at the cut instant. *)
     List.iteri
       (fun step (etype, oid) ->
@@ -150,16 +141,16 @@ let test_verdicts_agree_after_restart () =
             ~timestamp:(Occurrence.timestamp occ);
           Automaton.on_event automaton ~etype;
           let at = Event_base.probe_now eb in
-          let memo_verdict = Memo.active_handle memo ~after ~at handle in
+          let engine_verdict = engine_ts eb ~after ~at expr > 0 in
           if
             not
-              (memo_verdict = Tree_detector.active tree
-              && memo_verdict = Automaton.active automaton)
+              (engine_verdict = Tree_detector.active tree
+              && engine_verdict = Automaton.active automaton)
           then begin
             incr failures;
             Alcotest.failf
-              "seed %d step %d expr %s: memo=%b tree=%b automaton=%b" seed
-              step (Expr.to_string expr) memo_verdict
+              "seed %d step %d expr %s: engine=%b tree=%b automaton=%b" seed
+              step (Expr.to_string expr) engine_verdict
               (Tree_detector.active tree)
               (Automaton.active automaton)
           end
@@ -280,14 +271,16 @@ let run_wake_scenario ~seed ~commit_at =
            indexed cons=%d exec=%d events=%d fired=%d"
           seed step c x v f c' x' v' f')
     history;
-  (* ts agreement: both logs are identical, and both memo caches — fed
-     through entirely different probe schedules — must agree on every
-     rule's activation timestamp at the end. *)
+  (* ts agreement: both logs — fed through entirely different probe
+     schedules — must give every rule the same activation timestamp at
+     the end. *)
   let at = Event_base.probe_now (Engine.event_base sweep) in
   List.iter
     (fun e ->
-      let a = Memo.ts (Engine.memo sweep) ~after:Time.origin ~at e in
-      let b = Memo.ts (Engine.memo indexed) ~after:Time.origin ~at e in
+      let a = engine_ts (Engine.event_base sweep) ~after:Time.origin ~at e in
+      let b =
+        engine_ts (Engine.event_base indexed) ~after:Time.origin ~at e
+      in
       if a <> b then
         Alcotest.failf "seed %d expr %s: ts sweep=%d indexed=%d" seed
           (Expr.to_string e) a b)
@@ -494,8 +487,8 @@ let run_window_scenario ~seed ~commit_at ~abort_at =
         | None, None -> tx_start
         | _ -> Alcotest.failf "seed %d rule %s: window starts diverged" seed name
       in
-      let a = Memo.ts (Engine.memo plain) ~after ~at e in
-      let b = Memo.ts (Engine.memo windowed) ~after ~at e in
+      let a = engine_ts (Engine.event_base plain) ~after ~at e in
+      let b = engine_ts (Engine.event_base windowed) ~after ~at e in
       if a <> b then
         Alcotest.failf "seed %d expr %s: ts plain=%d windowed=%d" seed
           (Expr.to_string e) a b)

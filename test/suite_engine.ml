@@ -386,6 +386,22 @@ let test_undefine_unknown_is_error () =
   | Ok _ -> ()
   | Error (`Rule_error msg) -> Alcotest.fail msg
 
+(* The timer registry rejects a duplicate name in O(1) and leaves the
+   definition order untouched. *)
+let test_duplicate_timer_rejected () =
+  let engine = Engine.create (Schema.create ()) in
+  let _ = Engine.define_timer engine ~name:"tick" ~period_lines:3 in
+  (match Engine.define_timer engine ~name:"tick" ~period_lines:5 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "duplicate timer name accepted");
+  Alcotest.(check (list string)) "registry unchanged by rejection"
+    [ "tick" ]
+    (Engine.timer_names engine);
+  let _ = Engine.define_timer engine ~name:"tock" ~period_lines:2 in
+  Alcotest.(check (list string)) "definition order preserved"
+    [ "tick"; "tock" ]
+    (Engine.timer_names engine)
+
 let suite =
   [
     Alcotest.test_case "checkStockQty clamps violators" `Quick
@@ -405,4 +421,6 @@ let suite =
       test_targeted_rule_validation;
     Alcotest.test_case "undefine of an unknown rule is an error" `Quick
       test_undefine_unknown_is_error;
+    Alcotest.test_case "duplicate timer rejected" `Quick
+      test_duplicate_timer_rejected;
   ]

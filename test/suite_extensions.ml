@@ -1,6 +1,6 @@
 (* Extension subsystems: net effects (the holds replacement), the
-   triggering-graph termination analysis, memoized ts evaluation, and
-   HiPAC-style periodic clock events. *)
+   triggering-graph termination analysis, and HiPAC-style periodic clock
+   events. *)
 
 open Core
 
@@ -175,54 +175,6 @@ let test_negation_rules_always_reachable () =
   Alcotest.(check bool) "edge into negation rule" true
     (Analysis.may_trigger producer negation)
 
-(* -------------------------------------------------------------- memo *)
-
-let memo_equals_ts =
-  Gen.qcheck ~count:300 "memoized evaluation = plain ts"
-    (Gen.arb_history_and_expr Gen.Full)
-    (fun (h, e) ->
-      let eb = Gen.build_event_base h in
-      let env = Gen.ts_env eb in
-      let memo = Memo.create eb in
-      let after = Time.origin in
-      List.for_all
-        (fun at -> Ts.ts env ~at e = Memo.ts memo ~after ~at e)
-        (Gen.probe_instants eb)
-      (* Probe twice: cached answers must not drift. *)
-      && List.for_all
-           (fun at -> Ts.ts env ~at e = Memo.ts memo ~after ~at e)
-           (Gen.probe_instants eb))
-
-let test_memo_caches () =
-  let eb = Gen.build_event_base [ (0, 0); (1, 1); (2, 0); (0, 1) ] in
-  let e =
-    Expr.conj
-      (Expr.prim Gen.alphabet.(0))
-      (Expr.seq (Expr.prim Gen.alphabet.(1)) (Expr.prim Gen.alphabet.(2)))
-  in
-  let memo = Memo.create eb in
-  let at = Event_base.probe_now eb in
-  let v1 = Memo.ts memo ~after:Time.origin ~at e in
-  let misses_after_first = Memo.misses memo in
-  let v2 = Memo.ts memo ~after:Time.origin ~at e in
-  Alcotest.(check int) "stable value" v1 v2;
-  Alcotest.(check int) "second probe is pure hits" misses_after_first
-    (Memo.misses memo);
-  Alcotest.(check bool) "hits recorded" true (Memo.hits memo > 0);
-  (* A moved window is just a different [after] key - no invalidation. *)
-  let later = Time.probe_after at in
-  Alcotest.(check bool) "restarted window sees empty R" false
-    (Memo.active memo ~after:at ~at:later e);
-  Alcotest.(check int) "old window still cached" v1
-    (Memo.ts memo ~after:Time.origin ~at e);
-  (* [restart] (the commit path) drops values, keeps graph and counters. *)
-  let nodes_before = Memo.node_count memo in
-  Memo.restart memo eb;
-  Alcotest.(check int) "graph survives restart" nodes_before
-    (Memo.node_count memo);
-  Alcotest.(check int) "values recomputed identically" v1
-    (Memo.ts memo ~after:Time.origin ~at e)
-
 (* ------------------------------------------------------------ timers *)
 
 let test_periodic_timer () =
@@ -307,41 +259,7 @@ let suite =
       test_modify_attribute_matching;
     Alcotest.test_case "negation rules always reachable" `Quick
       test_negation_rules_always_reachable;
-    memo_equals_ts;
-    Alcotest.test_case "memo caches and restarts" `Quick test_memo_caches;
     Alcotest.test_case "periodic timers" `Quick test_periodic_timer;
     Alcotest.test_case "timer composes with negation" `Quick
       test_timer_composes_with_calculus;
   ]
-
-(* Memoization across moving windows: restart at random consumption points
-   and stay equal to a fresh plain evaluation over the same window. *)
-let memo_restart_equals_ts =
-  Gen.qcheck ~count:200 "memo restart tracks moving windows"
-    (QCheck.make
-       ~print:(fun ((h, e), cut) ->
-         Printf.sprintf "history=[%s] expr=%s cut=%d" (Gen.print_history h)
-           (Expr.to_string e) cut)
-       QCheck.Gen.(
-         pair (pair Gen.gen_history (Gen.gen_set_expr Gen.Full)) (int_range 0 20)))
-    (fun ((h, e), cut) ->
-      QCheck.assume (h <> []);
-      let eb = Gen.build_event_base h in
-      let stamps =
-        Event_base.timestamps_in eb
-          ~window:(Window.all ~upto:(Event_base.probe_now eb))
-      in
-      let consumption = Time.probe_after (List.nth stamps (cut mod List.length stamps)) in
-      let memo = Memo.create eb in
-      (* Prime the cache over the whole history; the moved window is just a
-         different [after] key, so nothing needs invalidating. *)
-      ignore (Memo.ts memo ~after:Time.origin ~at:(Event_base.probe_now eb) e);
-      let env =
-        Ts.env eb
-          ~window:(Window.make ~after:consumption ~upto:(Event_base.probe_now eb))
-      in
-      List.for_all
-        (fun at -> Ts.ts env ~at e = Memo.ts memo ~after:consumption ~at e)
-        (List.filter (fun at -> Time.(at > consumption)) (Gen.probe_instants eb)))
-
-let suite = suite @ [ memo_restart_equals_ts ]

@@ -108,6 +108,33 @@ let test_at_disjunction () =
     "both instants occur" (List.map Time.to_int stamps)
     (List.map Time.to_int instants)
 
+(* The [occurred] and [at] formulas see the same objects and instants
+   under both semantic styles, over every window a consumption can
+   leave. *)
+let formulas_agree_across_styles =
+  Gen.qcheck ~count:200 "occurred/at: logical = algebraic"
+    (QCheck.make
+       ~print:(fun (h, e) ->
+         Printf.sprintf "history=[%s] expr=%s" (Gen.print_history h)
+           (Expr.inst_to_string e))
+       QCheck.Gen.(pair Gen.gen_history Gen.gen_inst_expr))
+    (fun (h, e) ->
+      let eb = Gen.build_event_base h in
+      let at = Event_base.probe_now eb in
+      List.for_all
+        (fun after ->
+          let window = Window.make ~after ~upto:at in
+          let logical = Ts.env ~style:Ts.Logical eb ~window in
+          let algebraic = Ts.env ~style:Ts.Algebraic eb ~window in
+          let objs env = List.sort compare (Ts.occurred_objects env ~at e) in
+          objs logical = objs algebraic
+          && List.for_all
+               (fun oid ->
+                 Ts.occurrence_instants logical ~at e oid
+                 = Ts.occurrence_instants algebraic ~at e oid)
+               (objs logical))
+        (Gen.window_starts eb))
+
 let suite =
   [
     Alcotest.test_case "occurred over composite" `Quick test_occurred_composite;
@@ -120,4 +147,5 @@ let suite =
     Alcotest.test_case "net-effect creation replaces holds" `Quick
       test_net_effect_creation;
     Alcotest.test_case "at on disjunction" `Quick test_at_disjunction;
+    formulas_agree_across_styles;
   ]

@@ -497,29 +497,30 @@ let send srv c cmd =
   send_raw srv c
     (Protocol.frame_exn ~max_frame:mf (Protocol.command_to_payload cmd))
 
+(* Decodes the next reply already buffered on the client side. *)
+let take_reply c =
+  match Protocol.decode ~max_frame:mf c.buf ~off:0 ~len:c.len with
+  | Protocol.Frame (payload, used) ->
+      Bytes.blit c.buf used c.buf 0 (c.len - used);
+      c.len <- c.len - used;
+      (match Protocol.reply_of_payload payload with
+      | Ok r -> Some r
+      | Error msg -> Alcotest.failf "unparsable reply %S: %s" payload msg)
+  | _ -> None
+
 (* Pulls the next reply, interleaving server polls with client reads;
    [`Timeout] after [polls] turns without one (used to assert that a
    reply must NOT arrive, with a small budget). *)
 let recv ?(polls = 400) srv c =
-  let take () =
-    match Protocol.decode ~max_frame:mf c.buf ~off:0 ~len:c.len with
-    | Protocol.Frame (payload, used) ->
-        Bytes.blit c.buf used c.buf 0 (c.len - used);
-        c.len <- c.len - used;
-        (match Protocol.reply_of_payload payload with
-        | Ok r -> Some r
-        | Error msg -> Alcotest.failf "unparsable reply %S: %s" payload msg)
-    | _ -> None
-  in
   let rec go polls =
-    match take () with
+    match take_reply c with
     | Some r -> `Reply r
     | None ->
         if polls <= 0 then `Timeout
         else begin
           ignore (Server.poll srv ~timeout:0.005);
           match client_read c with
-          | `Eof -> ( match take () with Some r -> `Reply r | None -> `Eof)
+          | `Eof -> ( match take_reply c with Some r -> `Reply r | None -> `Eof)
           | `Read | `Nothing -> go (polls - 1)
         end
   in
@@ -770,6 +771,121 @@ let test_socket_max_conns_rejects () =
   (* The admitted connection is unaffected. *)
   send srv c1 (Protocol.Ping "");
   Alcotest.(check string) "first conn lives" "pong" (expect_ok srv c1 "ping")
+
+(* Two pipelined sessions on one inline shard hand the shard back and
+   forth.  Each client sends a window of frames that ends inside an open
+   transaction, then waits for every reply before sending the next.
+   When one session's frames release the shard, the other session —
+   possibly earlier in the reactor's connection list — is unblocked with
+   undecoded frames still buffered, while its client, window full, sends
+   nothing.  The reactor must resume it in the same turn: no poll may
+   sleep out its timeout while replies are owed. *)
+let test_socket_pipelined_handoff_no_stall () =
+  with_boot_server
+    ~config:{ Server.default_config with Server.engines = 1; domains = Some 0 }
+  @@ fun srv ->
+  let clients = [| connect srv; connect srv |] in
+  Fun.protect ~finally:(fun () -> Array.iter close_client clients) @@ fun () ->
+  Array.iter (hello srv) clients;
+  let txs = 20 and window = 4 and timeout = 1.0 in
+  let script i =
+    List.concat
+      (List.init txs (fun k ->
+           [
+             Protocol.Line (Printf.sprintf "create item(n = %d)" ((100 * i) + k));
+             Protocol.Line "create audit(tag = \"pipelined\")";
+             Protocol.Commit;
+           ]))
+  in
+  let todo = Array.init 2 script in
+  let owed = Array.make 2 0 in
+  let expected = 2 * 3 * txs in
+  let received = ref 0 and turns = ref 0 in
+  while !received < expected do
+    incr turns;
+    if !turns > 10_000 then Alcotest.fail "pipelined sessions never finished";
+    Array.iteri
+      (fun i c ->
+        if owed.(i) = 0 then begin
+          (* One write per window, as a pipelining client sends it. *)
+          let batch = Buffer.create 256 in
+          while owed.(i) < window && todo.(i) <> [] do
+            Buffer.add_string batch
+              (Protocol.frame_exn ~max_frame:mf
+                 (Protocol.command_to_payload (List.hd todo.(i))));
+            todo.(i) <- List.tl todo.(i);
+            owed.(i) <- owed.(i) + 1
+          done;
+          send_raw srv c (Buffer.contents batch)
+        end)
+      clients;
+    let t0 = Monotime.now_s () in
+    ignore (Server.poll srv ~timeout);
+    let slept = Monotime.now_s () -. t0 in
+    Array.iteri
+      (fun i c ->
+        let rec read () = match client_read c with `Read -> read () | _ -> () in
+        read ();
+        let rec replies () =
+          match take_reply c with
+          | Some (Protocol.Err (code, msg)) ->
+              Alcotest.failf "client %d: ERR %s %s" i code msg
+          | Some _ ->
+              owed.(i) <- owed.(i) - 1;
+              incr received;
+              replies ()
+          | None -> ()
+        in
+        replies ())
+      clients;
+    if slept >= 0.9 *. timeout && !received < expected then
+      Alcotest.failf
+        "poll turn %d slept out its %.1fs timeout with %d of %d replies \
+         owed"
+        !turns timeout (expected - !received) expected
+  done
+
+(* [Unix.select] cannot watch a descriptor at or past FD_SETSIZE and
+   fails the whole call if asked to.  Connections admitted past that
+   point must be turned away with [ERR busy] instead of crashing the
+   reactor.  Client and server ends share this process, so about 520
+   connections push the server's descriptors past 1024. *)
+let test_socket_fd_setsize_rejects () =
+  with_boot_server
+    ~config:{ Server.default_config with Server.max_conns = 2000 }
+  @@ fun srv ->
+  let first = connect srv in
+  let clients = ref [ first ] in
+  Fun.protect ~finally:(fun () -> List.iter close_client !clients) @@ fun () ->
+  hello srv first;
+  let rejected = ref None and opened = ref 1 in
+  (try
+     while !rejected = None && !opened < 1100 do
+       let c = connect srv in
+       clients := c :: !clients;
+       incr opened;
+       ignore (Server.poll srv ~timeout:0.005);
+       ignore (Server.poll srv ~timeout:0.);
+       match client_read c with
+       | `Read | `Eof -> rejected := Some c
+       | `Nothing -> ()
+     done
+   with Unix.Unix_error (Unix.EMFILE, _, _) ->
+     (* A descriptor limit at or below FD_SETSIZE: the reactor can never
+        be handed an unwatchable descriptor in this process. *)
+     ());
+  (match !rejected with
+  | Some c ->
+      ignore (expect_err srv c "busy" "connection past FD_SETSIZE");
+      expect_eof srv c
+  | None ->
+      Alcotest.(check bool)
+        (Printf.sprintf "descriptor limit reached before FD_SETSIZE (%d conns)"
+           !opened)
+        true (!opened < 1100));
+  send srv first (Protocol.Ping "still");
+  Alcotest.(check string) "admitted session answers" "pong still"
+    (expect_ok srv first "ping after overflow")
 
 (* Graceful drain mid-transaction: buffered work finishes, clients get
    the shutdown notice, journals close flushed — and replay cleanly,
@@ -1981,6 +2097,10 @@ let suite =
     Alcotest.test_case "idle timeout" `Quick test_socket_idle_timeout;
     Alcotest.test_case "admission cap rejects" `Quick
       test_socket_max_conns_rejects;
+    Alcotest.test_case "pipelined handoff never stalls a poll" `Quick
+      test_socket_pipelined_handoff_no_stall;
+    Alcotest.test_case "no select crash past FD_SETSIZE" `Quick
+      test_socket_fd_setsize_rejects;
     Alcotest.test_case "graceful drain, journals replay" `Quick
       test_socket_drain_and_recover;
     Alcotest.test_case "keyed sessions across worker domains" `Quick

@@ -221,6 +221,25 @@ let test_window_consumption () =
   let preserving = Ts.env eb ~window:(Window.all ~upto:late) in
   Alcotest.(check bool) "preserved" true (Ts.active preserving ~at:late e)
 
+(* The paper's two semantic styles agree at every (window start, probe
+   instant) pair — the moving windows consumption produces, not only the
+   whole history. *)
+let styles_agree_over_moving_windows =
+  Gen.qcheck ~count:200 "logical = algebraic over moving windows"
+    (Gen.arb_history_and_expr Gen.Full)
+    (fun (h, e) ->
+      let eb = Gen.build_event_base h in
+      let upto = Event_base.probe_now eb in
+      List.for_all
+        (fun after ->
+          let window = Window.make ~after ~upto in
+          let logical = Ts.env ~style:Ts.Logical eb ~window in
+          let algebraic = Ts.env ~style:Ts.Algebraic eb ~window in
+          List.for_all
+            (fun at -> Ts.ts logical ~at e = Ts.ts algebraic ~at e)
+            (Gen.probe_instants eb))
+        (Gen.window_starts eb))
+
 let suite =
   [
     Alcotest.test_case "set disjunction timeline (3.1)" `Quick
@@ -244,4 +263,5 @@ let suite =
     Alcotest.test_case "paper sample expression" `Quick
       test_paper_sample_expression;
     Alcotest.test_case "window consumption" `Quick test_window_consumption;
+    styles_agree_over_moving_windows;
   ]

@@ -19,7 +19,6 @@ let () =
       ("baselines", Suite_baseline.suite);
       ("lang", Suite_lang.suite);
       ("extensions", Suite_extensions.suite);
-      ("memo", Suite_memo.suite);
       ("derived-operators", Suite_derived.suite);
       ("persistence", Suite_persistence.suite);
       ("recovery", Suite_recovery.suite);
