@@ -25,7 +25,6 @@ let experiments =
     ("e10", "observability overhead", Obs_overhead.e10);
     ("e11", "wide rule sets: sweep vs indexed wake", Wide.e11);
     ("e12", "network serving throughput (1 vs 4 shards)", Serve_bench.e12);
-    ("e13", "worker-domain scaling (inline vs 1/2/4 domains)", Serve_bench.e13);
     ( "e14",
       "journal-shipping replication (0 vs 1 follower, failover)",
       Serve_bench.e14 );

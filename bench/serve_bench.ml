@@ -90,7 +90,8 @@ let run_one ~shards ~conns =
 
 let e12 () =
   Bench_util.print_header
-    "E12: network serving throughput (1 vs 4 engine shards)";
+    "E12: network serving throughput (1 vs 4 engine shards, inline on the \
+     reactor)";
   Bench_util.print_note
     (Printf.sprintf
        "in-process loopback; %d lines/conn, commit every %d; every line \
@@ -150,133 +151,10 @@ let e12 () =
            ])
        rows)
 
-(* E13: worker-domain scaling — 4 engine shards executed inline on the
-   reactor thread (domains = 0) versus on 1, 2 and 4 worker domains.
-
-   Honest caveat baked into the JSON: the speedup ceiling is the machine's
-   core count.  On a single-core container the domain runs measure the
-   *overhead* of the mailbox hop (they cannot be faster than inline); the
-   scaling story only materialises with cores to schedule the workers
-   on.  The bench records [cores] so readers can tell which regime a
-   result came from. *)
-
-let e13_domain_counts = [ 0; 1; 2; 4 ]
-let e13_conns = 64
-
-type drow = { domains : int; report : Loadgen.report }
-
-let run_domains ~domains =
-  let server_config =
-    {
-      Server.default_config with
-      Server.engines = 4;
-      domains = Some domains;
-      boot_script = Some boot_script;
-      max_conns = e13_conns + 8;
-      idle_timeout = 0.;
-    }
-  in
-  match Server.create server_config with
-  | Error msg -> failwith msg
-  | Ok srv ->
-      let lg =
-        match
-          Loadgen.create
-            {
-              Loadgen.default_config with
-              Loadgen.port = Server.port srv;
-              conns = e13_conns;
-              lines;
-              commit_every;
-            }
-        with
-        | Ok lg -> lg
-        | Error msg -> failwith msg
-      in
-      let rec drive () =
-        if not (Loadgen.finished lg) then begin
-          ignore (Server.poll srv ~timeout:0.);
-          Loadgen.poll lg ~timeout:0.;
-          drive ()
-        end
-      in
-      drive ();
-      let report = Loadgen.report lg in
-      Server.request_drain srv;
-      let rec stop n =
-        if n > 0 then
-          match Server.poll srv ~timeout:0.005 with
-          | Server.Stopped -> ()
-          | Server.Running -> stop (n - 1)
-      in
-      stop 1000;
-      if report.Loadgen.errors > 0 then
-        failwith
-          (Printf.sprintf "e13: %d protocol error(s) at domains=%d"
-             report.Loadgen.errors domains);
-      { domains; report }
-
-let e13 () =
-  let cores = Stdlib.Domain.recommended_domain_count () in
-  Bench_util.print_header
-    "E13: worker-domain scaling (4 shards; inline vs 1/2/4 domains)";
-  Bench_util.print_note
-    (Printf.sprintf
-       "%d conns, %d lines/conn, commit every %d; %d core(s) available — \
-        on 1 core the domain rows measure mailbox-hop overhead, not \
-        parallel speedup"
-       e13_conns lines commit_every cores);
-  let rows = List.map (fun domains -> run_domains ~domains) e13_domain_counts in
-  Printf.printf "\n  %7s %10s %12s %10s %10s %10s\n" "domains" "lines"
-    "lines/s" "p50 us" "p99 us" "max us";
-  List.iter
-    (fun { domains; report = r } ->
-      Printf.printf "  %7d %10d %12.0f %10d %10d %10d\n" domains
-        r.Loadgen.lines_ok r.Loadgen.lines_per_s
-        (r.Loadgen.lat_p50_ns / 1000)
-        (r.Loadgen.lat_p99_ns / 1000)
-        (r.Loadgen.lat_max_ns / 1000))
-    rows;
-  (match List.find_opt (fun r -> r.domains = 0) rows with
-  | Some inline ->
-      List.iter
-        (fun r ->
-          if r.domains > 0 then
-            Printf.printf "  %d domain(s): %.2fx the inline throughput\n"
-              r.domains
-              (r.report.Loadgen.lines_per_s
-              /. inline.report.Loadgen.lines_per_s))
-        rows
-  | None -> ());
-  Bench_util.write_json ~experiment:"e13"
-    (List.map
-       (fun { domains; report = r } ->
-         Bench_util.J_obj
-           [
-             ("shards", Bench_util.J_int 4);
-             ("domains", Bench_util.J_int domains);
-             ("cores", Bench_util.J_int cores);
-             ("conns", Bench_util.J_int e13_conns);
-             ("lines_per_conn", Bench_util.J_int lines);
-             ("commit_every", Bench_util.J_int commit_every);
-             ("lines_sent", Bench_util.J_int r.Loadgen.lines_sent);
-             ("lines_ok", Bench_util.J_int r.Loadgen.lines_ok);
-             ("triggered", Bench_util.J_int r.Loadgen.triggered);
-             ("commits", Bench_util.J_int r.Loadgen.commits);
-             ("errors", Bench_util.J_int r.Loadgen.errors);
-             ("wall_s", Bench_util.J_float r.Loadgen.wall_s);
-             ("lines_per_s", Bench_util.J_float r.Loadgen.lines_per_s);
-             ("lat_p50_ns", Bench_util.J_int r.Loadgen.lat_p50_ns);
-             ("lat_p90_ns", Bench_util.J_int r.Loadgen.lat_p90_ns);
-             ("lat_p99_ns", Bench_util.J_int r.Loadgen.lat_p99_ns);
-             ("lat_max_ns", Bench_util.J_int r.Loadgen.lat_max_ns);
-           ])
-       rows)
-
 (* E14: journal-shipping replication — what a warm standby costs and
    what a failover buys.
 
-   The same co-operative single-thread harness as E12/E13, now with up
+   The same co-operative single-thread harness as E12, now with up
    to three reactors interleaved: the primary, its journal-tailing
    standby, and the load generator.  The follower row pays the full
    semi-synchronous price: every COMMIT reply is parked until the
@@ -344,7 +222,6 @@ let run_repl ~follower =
     {
       Server.default_config with
       Server.engines = e14_shards;
-      domains = Some 0;
       boot_script = Some boot_script;
       max_conns = e14_conns + 8;
       idle_timeout = 0.;
@@ -533,15 +410,14 @@ let e14 () =
    the wire path.  The baseline is text ping-pong: one [EVENT <etype>
    <oid>] frame outstanding per session, parsed by the text
    command-grammar on the reactor.  The contender is the binary path:
-   BATCH frames of fixed-width records, decoded on the worker domains,
-   [pipeline] frames deep per session — so the reactor never parses, and
-   the round-trip latency is amortised over a full window.
+   BATCH frames of fixed-width records, decoded without the text
+   parser, [pipeline] frames deep per session — so the round-trip
+   latency is amortised over a full window.
 
    The ratio between the two events/s figures is the deliverable:
    single-shard it isolates protocol overhead (same engine, same
-   serialization); at 4 shards it shows pipelining composing with
-   shard parallelism.  [cores] is recorded because the worker-domain
-   regime depends on it. *)
+   serialization); at 4 shards (all inline on the reactor) it shows
+   pipelining composing with sharded serialization. *)
 
 let e16_conns = 8
 let e16_events = 1500
@@ -622,7 +498,8 @@ let e16_run ~shards ~binary =
 let e16 () =
   let cores = Stdlib.Domain.recommended_domain_count () in
   Bench_util.print_header
-    "E16: pipelined binary ingestion vs text EVENT ping-pong";
+    "E16: pipelined binary ingestion vs text EVENT ping-pong (shards \
+     inline on the reactor)";
   Bench_util.print_note
     (Printf.sprintf
        "in-process loopback; %d conns x %d events, commit every %d; text \
@@ -720,10 +597,6 @@ let e17_run ~subscribers =
     {
       Server.default_config with
       Server.engines = 1;
-      (* One shard, executed inline on the reactor thread: the push path
-         is the subject here, and on the CI container's single core a
-         worker domain only adds the mailbox hop e13 measures. *)
-      domains = Some 0;
       max_conns = e17_ingest_conns + subscribers + 8;
       idle_timeout = 0.;
     }
@@ -815,7 +688,6 @@ let e17 () =
          Bench_util.J_obj
            [
              ("shards", Bench_util.J_int 1);
-             ("domains", Bench_util.J_int 0);
              ("subscribers", Bench_util.J_int s_subs);
              ("ingest_conns", Bench_util.J_int e17_ingest_conns);
              ("events_per_conn", Bench_util.J_int e17_events);

@@ -616,6 +616,8 @@ let serve trace metrics host port engines domains journal_dir fsync
  protected @@ fun () ->
   if notify_queue < 1 then
     `Error (false, "--notify-queue must be at least 1")
+  else if domains <> 0 then
+    `Error (false, "worker domains were removed; shards run on the reactor")
   else
   match parse_follow follow with
   | Error msg -> `Error (false, msg)
@@ -628,7 +630,6 @@ let serve trace metrics host port engines domains journal_dir fsync
       host;
       port;
       engines;
-      domains;
       journal_dir;
       fsync;
       boot_script;
@@ -647,15 +648,10 @@ let serve trace metrics host port engines domains journal_dir fsync
   | Error msg -> `Error (false, msg)
   | Ok server ->
       Server.install_signal_handlers server;
-      let running_domains =
-        Session.Manager.domains (Server.manager server)
-      in
       Printf.printf
-        "chimera serve: listening on %s:%d (%d engine shard(s), %s%s%s)\n%!"
+        "chimera serve: listening on %s:%d (%d engine shard(s), inline on \
+         the reactor thread%s%s)\n%!"
         host (Server.port server) engines
-        (match running_domains with
-        | 0 -> "inline on the reactor thread"
-        | n -> Printf.sprintf "%d worker domain(s)" n)
         (match journal_dir with
         | None -> ""
         | Some dir -> Printf.sprintf ", journals in %s" dir)
@@ -687,19 +683,19 @@ let serve_cmd =
       & opt int 1
       & info [ "engines" ] ~docv:"N"
           ~doc:
-            "Independent engine shards; each session is pinned to the shard \
-             its id hashes to and transactions serialize per shard.")
+            "Independent engine shards, all executed inline on the reactor \
+             thread; each session is pinned to the shard its id hashes to \
+             and transactions serialize per shard.")
   in
   let domains =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"M"
+      & opt int 0
+      & info [ "domains" ] ~docv:"0"
           ~doc:
-            "Worker domains executing the engine shards (shard $(i,i) \
-             runs on domain $(i,i) mod $(i,M)).  Defaults to one domain \
-             per shard; $(b,0) runs every shard inline on the reactor \
-             thread (the pre-multicore behaviour).")
+            "Accepted for compatibility only: every shard runs inline on \
+             the reactor thread, so $(b,0) is the one legal value and any \
+             other exits 1.")
   in
   let journal_dir =
     Arg.(

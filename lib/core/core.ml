@@ -12,7 +12,6 @@ module Vec = Chimera_util.Vec
 module Failpoint = Chimera_util.Failpoint
 module Monotime = Chimera_util.Monotime
 module Fnv = Chimera_util.Fnv
-module Mailbox = Chimera_util.Mailbox
 module Backoff = Chimera_util.Backoff
 
 (* Observability: metrics, trace spans, sinks. *)

@@ -33,7 +33,7 @@ val parse_occurrence_line :
     The wire's hot-path encoding: fixed-width big-endian fields — etype
     id u32, oid u64, timestamp u64 — 20 bytes per record, no parsing.
     This module owns both directions (encode on the client, decode on
-    the worker domains), so the formats can never drift apart. *)
+    the server), so the formats can never drift apart. *)
 
 val binary_record_bytes : int
 (** Size of one encoded record: 20. *)

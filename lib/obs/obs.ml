@@ -29,9 +29,8 @@ let set_clock f = clock := f
 (* ------------------------------------------------------------ metrics *)
 
 module Metrics = struct
-  (* Counters, gauges and histogram cells are [Atomic.t]: with one engine
-     shard per domain ([chimera serve --domains]) the same process-wide
-     handles are bumped concurrently from every worker, and a plain
+  (* Counters, gauges and histogram cells are [Atomic.t]: the handles are
+     process-wide, so any domain may bump them concurrently, and a plain
      mutable field would silently lose increments.  The disabled path is
      still one load-and-branch; the enabled path pays one atomic RMW. *)
   type counter = { cname : string; cv : int Atomic.t }

@@ -126,7 +126,7 @@ let stats () =
 (* One committed trigger activation of a watched rule — the unit the
    live-subscription layer pushes to clients.  Bindings are rendered to
    text at consideration time (they are plain oids and instants), so an
-   activation is immutable string data, safe to ship across domains. *)
+   activation is immutable string data, safe to queue and deliver later. *)
 type activation = {
   act_rule : string;
   act_at : Time.t;  (** the consideration instant ([ts] evaluation point) *)

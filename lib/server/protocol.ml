@@ -201,8 +201,8 @@ let encode_batch records =
 (* O(1) shape check — tag known, length consistent with the record count
    — for the reactor to run before acquiring a shard (the analogue of
    the text path's parse-before-acquire); the per-record field
-   validation happens in [decode_binary] on a worker domain.  Returns
-   the record count. *)
+   validation happens in [decode_binary] once the frame holds its shard.
+   Returns the record count. *)
 let check_binary payload =
   let len = String.length payload in
   if len = 0 then Error "empty binary payload"
@@ -574,7 +574,7 @@ type decoded =
    [decode_view] is the zero-copy variant: it reports the payload as an
    (offset, length) window into the caller's buffer instead of
    materialising a string, so the hot binary path copies payload bytes
-   exactly once (when shipping them to a worker domain) instead of
+   exactly once (when handing them to the session manager) instead of
    twice.  The view is only valid until the caller next mutates or
    compacts the buffer — copy before then. *)
 let decode_view ~max_frame bytes ~off ~len =

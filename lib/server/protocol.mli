@@ -124,8 +124,8 @@ val encode_batch : event_record list -> string
 val check_binary : string -> (int, string) result
 (** O(1) shape check — tag known, length consistent — returning the
     record count; the reactor runs this before acquiring a shard, the
-    per-record field validation happens in {!decode_binary} on a worker
-    domain. *)
+    per-record field validation happens in {!decode_binary} once the
+    frame holds it. *)
 
 val decode_binary : string -> (event_record list, string) result
 (** Total over arbitrary payload bytes: unknown tags, size/count

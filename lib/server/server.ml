@@ -42,9 +42,6 @@ type config = {
   host : string;
   port : int;
   engines : int;
-  domains : int option;
-      (** worker domains: [None] = one per shard, [Some 0] = inline
-          single-reactor mode, [Some m] = m workers *)
   journal_dir : string option;
   fsync : Journal.sync_policy;
   boot_script : string option;
@@ -82,7 +79,6 @@ let default_config =
     host = "127.0.0.1";
     port = 0;
     engines = 1;
-    domains = None;
     journal_dir = None;
     fsync = Journal.Per_commit;
     boot_script = None;
@@ -221,6 +217,15 @@ let resolve_addr host =
       | entry -> Ok entry.Unix.h_addr_list.(0)
       | exception Not_found -> Error (Printf.sprintf "cannot resolve %s" host))
 
+(* [Unix.select] watches only descriptors below FD_SETSIZE (1024 with
+   glibc) and fails the whole call with EINVAL when handed one above, so
+   every descriptor the reactor opens or accepts is checked before it
+   joins the select sets: a connection is refused at admission, the
+   standby's outbound link backs off, a takeover listener is dropped.  On
+   Unix a [file_descr] is the descriptor number itself. *)
+let fd_setsize = 1024
+let selectable (fd : Unix.file_descr) = (Obj.magic fd : int) < fd_setsize
+
 let create config =
   let ( let* ) = Result.bind in
   (* A peer that vanished can RST mid-write; the write must surface as
@@ -231,16 +236,13 @@ let create config =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
   let standby = config.follow <> None in
-  let domains =
-    match config.domains with None -> config.engines | Some m -> m
-  in
   let* () =
     if standby && config.journal_dir = None then
       Error "--follow requires --journal (an ack must vouch for durability)"
     else Ok ()
   in
   let* mgr =
-    Session.Manager.create ~engines:config.engines ~domains
+    Session.Manager.create ~engines:config.engines
       ?journal_dir:config.journal_dir ~fsync:config.fsync
       ?boot_script:config.boot_script ~max_pending:config.max_pending
       ~extra_stats:counters_text ~standby
@@ -445,9 +447,9 @@ let min_acked t shard =
         | Some m -> min m p.acked.(shard)))
     None
 
-(* Publishes a shard's ack floor to the session manager: segment GC on
-   the shard's worker domain never retires a sealed segment a connected
-   follower has not durably acked. *)
+(* Publishes a shard's ack floor to the session manager: the shard's
+   segment GC never retires a sealed segment a connected follower has not
+   durably acked. *)
 let update_gc_floor t shard =
   let floor =
     match min_acked t shard with None -> max_int | Some m -> m
@@ -766,6 +768,11 @@ let takeover_bind t host port =
       match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
       | exception Unix.Unix_error (e, _, _) ->
           Log.warn (fun m -> m "takeover: socket: %s" (Unix.error_message e))
+      | fd when not (selectable fd) ->
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          Log.warn (fun m ->
+              m "takeover of %s:%d skipped: out of pollable descriptors" host
+                port)
       | fd -> (
           match
             Unix.setsockopt fd Unix.SO_REUSEADDR true;
@@ -833,12 +840,11 @@ let consume conn n =
   end
 
 (* Decodes and executes the complete frames currently buffered, stopping
-   while the session is blocked (queued behind a busy shard, or holding
-   a reply back for pipeline order): decoding past that point would walk
-   the per-session pending bound into an overflow close, when the right
-   move — pipelining's admission control — is to leave the bytes in
-   [inbuf] and resume once events unblock the session (the post-pump
-   pass in {!poll}). *)
+   while the session is blocked (queued behind a busy shard): decoding
+   past that point would walk the per-session pending bound into an
+   overflow close, when the right move — pipelining's admission control —
+   is to leave the bytes in [inbuf] and resume once events unblock the
+   session ({!resume_buffered}). *)
 let rec drain_frames t conn =
   if
     conn.dead || conn.close_after_flush
@@ -910,13 +916,6 @@ let reject_conn t fd reason =
      ignore (Unix.write_substring fd frame 0 (String.length frame))
    with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* [Unix.select] watches only descriptors below FD_SETSIZE (1024 with
-   glibc) and fails the whole call with EINVAL when handed one above, so
-   a connection the reactor cannot watch is refused at admission.  On
-   Unix a [file_descr] is the descriptor number itself. *)
-let fd_setsize = 1024
-let selectable (fd : Unix.file_descr) = (Obj.magic fd : int) < fd_setsize
 
 let rec accept_loop t listen_fd =
   match Unix.accept listen_fd with
@@ -1013,6 +1012,10 @@ let follower_start_connect t f =
       match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
       | exception Unix.Unix_error (e, _, _) ->
           Log.warn (fun m -> m "follow: socket: %s" (Unix.error_message e));
+          back ()
+      | fd when not (selectable fd) ->
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          Log.warn (fun m -> m "follow: out of pollable descriptors");
           back ()
       | fd -> (
           Unix.set_nonblock fd;
@@ -1150,6 +1153,7 @@ let follower_fds t =
             if Buffer.length st.s_outbuf - st.s_out_off > 0 then [ st.sfd ] else []
           ))
 
+(* [readable] and [writable] are this turn's {!ready_set}s. *)
 let follower_after_select t readable writable =
   match t.follower with
   | None -> ()
@@ -1157,14 +1161,14 @@ let follower_after_select t readable writable =
       match f.f_link with
       | F_idle _ -> ()
       | F_connecting { fd } ->
-          if List.memq fd writable then (
+          if Hashtbl.mem writable fd then (
             match Unix.getsockopt_error fd with
             | None -> follower_established t f fd
             | Some e -> follower_fail f (Unix.error_message e)
             | exception Unix.Unix_error (e, _, _) ->
                 follower_fail f (Unix.error_message e))
       | F_streaming st ->
-          if List.memq st.sfd readable then follower_handle_readable t f st;
+          if Hashtbl.mem readable st.sfd then follower_handle_readable t f st;
           (* The link may have failed while reading. *)
           (match f.f_link with
           | F_streaming cur when cur == st -> follower_try_flush f
@@ -1173,18 +1177,17 @@ let follower_after_select t readable writable =
 (* -------------------------------------------------------------- drain *)
 
 (* The per-turn drain sweep: a connection is told goodbye and closed
-   once its session is idle — nothing queued, nothing in flight on a
-   worker domain — so every reply already owed to it goes out first.
-   Sessions parked behind a busy shard become idle as the closes cascade
-   (closing the owner frees the shard, its waiters run their queues and
-   turn idle), so the sweep converges over a few turns. *)
+   once its session is not blocked — nothing queued behind a busy shard
+   — so every reply already owed to it goes out first.  Blocked sessions
+   unblock as the closes cascade (closing the owner frees the shard, its
+   waiters run their queues), so the sweep converges over a few turns. *)
 let drain_sweep t =
   Hashtbl.iter
     (fun _sid conn ->
       if
         (not conn.dead)
         && (not conn.close_after_flush)
-        && Session.Manager.idle t.mgr conn.sid
+        && not (Session.Manager.blocked t.mgr conn.sid)
       then begin
         (* The goodbye must not orphan queued pushes: flush or gap every
            pending notify before the shutdown reply seals the stream. *)
@@ -1230,6 +1233,14 @@ type status = Running | Stopped
 
 let conn_list t = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
 
+(* One [select] result as a set: a single pass over the ready list, then
+   an O(1) membership test per connection — O(conns) a turn instead of a
+   list scan per connection. *)
+let ready_set fds =
+  let set = Hashtbl.create 64 in
+  List.iter (fun fd -> Hashtbl.replace set fd ()) fds;
+  set
+
 (* Drains every connection's buffered frames, repeating the pass until
    none consumes input: a session's frames can release a shard and so
    unblock a session the pass already visited.  Each repeat consumed
@@ -1257,9 +1268,6 @@ let poll t ~timeout =
         | Error msg -> Log.err (fun m -> m "promotion failed: %s" msg)
     end;
     follower_turn t;
-    (* Refreshed here, on the reactor (the registry's only writer), so
-       [extra_stats] — possibly running on a worker domain — reads a
-       plain gauge instead of racing the session table. *)
     Obs.Metrics.set_gauge g_sub_active
       (Session.Manager.subscription_count t.mgr);
     let conns = conn_list t in
@@ -1279,13 +1287,6 @@ let poll t ~timeout =
     in
     let reads =
       match t.takeover_fd with Some fd -> fd :: reads | None -> reads
-    in
-    let reads =
-      (* The worker domains' self-pipe: completions interrupt the select
-         instead of waiting out its timeout. *)
-      match Session.Manager.wakeup_fd t.mgr with
-      | Some fd when not t.stopped -> fd :: reads
-      | Some _ | None -> reads
     in
     let follower_reads, follower_writes = follower_fds t in
     let reads = follower_reads @ reads in
@@ -1307,24 +1308,23 @@ let poll t ~timeout =
     (match Unix.select reads writes [] timeout with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | readable, writable, _ ->
+        let readable = ready_set readable and writable = ready_set writable in
         (match t.listen_fd with
-        | Some fd when List.memq fd readable -> accept_loop t fd
+        | Some fd when Hashtbl.mem readable fd -> accept_loop t fd
         | Some _ | None -> ());
         (match t.takeover_fd with
-        | Some fd when List.memq fd readable -> accept_loop t fd
+        | Some fd when Hashtbl.mem readable fd -> accept_loop t fd
         | Some _ | None -> ());
         follower_after_select t readable writable;
         List.iter
           (fun c ->
-            if (not c.dead) && List.memq c.fd readable then handle_readable t c)
+            if (not c.dead) && Hashtbl.mem readable c.fd then handle_readable t c)
           conns;
-        (* Collect worker completions — replies for frames read this turn
-           or earlier — so they flush below with everything else. *)
-        dispatch_events t (Session.Manager.pump t.mgr);
-        (* Completions may have unblocked sessions whose connections still
-           hold undecoded frames (decoding stopped at [blocked]): resume
-           them now, within the same turn, so a pipelining client is not
-           one select round-trip behind its own window. *)
+        (* Frames read this turn may have released shards and so
+           unblocked sessions whose connections still hold undecoded
+           frames (decoding stopped at [blocked]): resume them now,
+           within the same turn, so a pipelining client is not one
+           select round-trip behind its own window. *)
         resume_buffered t conns;
         (* Ship journal growth (this turn's commits included) to every
            attached replication follower. *)
@@ -1343,7 +1343,7 @@ let poll t ~timeout =
           (fun c ->
             if
               (not c.dead)
-              && (List.memq c.fd writable || pending_out c > 0
+              && (Hashtbl.mem writable c.fd || pending_out c > 0
                  || c.close_after_flush)
             then try_flush t c)
           conns);

@@ -25,11 +25,7 @@ open Chimera_event
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** [0] binds an ephemeral port (see {!port}) *)
-  engines : int;  (** independent engine shards *)
-  domains : int option;
-      (** worker domains executing the shards: [None] (default) spawns
-          one per shard, [Some 0] keeps everything inline on the reactor
-          thread, [Some m] spawns [min m engines] workers *)
+  engines : int;  (** independent engine shards, all run on the reactor thread *)
   journal_dir : string option;  (** per-shard journals live here *)
   fsync : Journal.sync_policy;
   boot_script : string option;  (** rule-language source run on every shard *)

@@ -1,6 +1,6 @@
 (* Session management: per-connection sessions multiplexed onto N
-   independent engine shards, executed either inline (single-reactor
-   mode) or on worker domains (one per shard by default).
+   independent engine shards, every one of them executed inline on the
+   reactor thread.
 
    The engine is single-threaded and transactional, so concurrency comes
    from partitioning, not sharing: [--engines N] creates N ordinary
@@ -14,30 +14,15 @@
    reactor stops reading from them — the queue bound plus that read-stop
    is the admission control of the protocol.
 
-   With [domains = 0] every state transition is synchronous and
-   single-threaded, exactly as above: the reactor calls in with one
+   Every state transition is synchronous: the reactor calls in with one
    decoded payload at a time and gets back the list of replies (possibly
    for *other* sessions: releasing a shard answers its waiters) to write
-   out.
-
-   With [domains = M > 0] the engines move off the reactor: shard [i]
-   belongs to worker domain [i mod M], commands travel through a bounded
-   per-worker mailbox, and replies come back through a per-worker
-   completion queue that the reactor drains from [pump] (a self-pipe
-   waker interrupts its select).  The ownership and waiter bookkeeping
-   stays on the reactor and is updated *eagerly at submit time* — a
-   COMMIT releases its shard the moment it is enqueued — which is sound
-   because the per-worker mailbox is FIFO: a waiter's LINE enqueued
-   after the COMMIT also executes after it.  Reply order per session is
-   preserved by counting in-flight jobs: shard-bound commands pipeline
-   FIFO through the one worker the session maps to, and reactor-answered
-   commands (HELLO, PING, state errors, QUIT) wait until nothing is in
-   flight so their replies cannot overtake. *)
+   out.  A reply therefore exists by the time the call returns, and reply
+   order per session is the order its commands executed in. *)
 
 open Chimera_event
 open Chimera_rules
 open Chimera_lang
-module Mailbox = Chimera_util.Mailbox
 module Fnv = Chimera_util.Fnv
 
 module Manager = struct
@@ -66,10 +51,9 @@ module Manager = struct
             connection's bounded notify queue. *)
 
   (* One queued unit of session input: a parsed text command, or a raw
-     binary EVENT/BATCH payload.  Binary payloads stay undecoded here —
-     the whole point of the binary path is that the per-record work
-     happens on the shard's worker domain, not the reactor; the reactor
-     only runs the O(1) shape check before acquiring the shard. *)
+     binary EVENT/BATCH payload.  Binary payloads stay undecoded until
+     they execute: a frame queued behind a busy shard costs no decode,
+     and the O(1) shape check runs before the shard is acquired. *)
   type input = Cmd of Protocol.command | Events of string
 
   (* One live subscription: the engine rule it registered (named
@@ -84,18 +68,12 @@ module Manager = struct
     pending : input Queue.t;
     mutable waiting : bool;  (** enqueued in its shard's waiter queue *)
     mutable closed : bool;
-    mutable inflight : int;  (** jobs submitted to a worker, not yet completed *)
     mutable etypes : Event_type.t option array;
         (** the session's interned etype table, indexed by the ids binary
-            records carry; announced by ETYPE.  Replaced wholesale on
-            every change (copy-on-write), so a snapshot shipped with an
-            in-flight job is immutable and safe to share with a worker
-            domain *)
+            records carry; announced by ETYPE *)
     subs : (int, sub_entry) Hashtbl.t;
-        (** the connection's subscription registry, updated eagerly at
-            SUB submit (so pipelined duplicates and in-flight defines are
-            visible) and pruned at UNSUB/failed-SUB completion (so
-            notifies from commits ahead of the UNSUB still route) *)
+        (** the connection's subscription registry: an entry exists
+            exactly while its rule is defined on the shard *)
   }
 
   type shard = {
@@ -105,8 +83,8 @@ module Manager = struct
     mutable owner : int option;  (** session id holding the open tx *)
     waiters : int Queue.t;
     executed : string list ref;  (** execution-listener accumulator, newest first *)
-    mutable dropped_subs : (int * int * string) list;
-        (** [(sid, sub, rule)] of disconnected sessions' subscriptions,
+    mutable dropped_subs : string list;
+        (** rule names of disconnected sessions' subscriptions,
             undefined at the shard's next transaction boundary (an
             undefine inside another session's open transaction would
             move its savepoint); newest first *)
@@ -119,85 +97,6 @@ module Manager = struct
     mutable repl_head : int;  (** primary's commit sequence, last reported *)
   }
 
-  (* What a worker domain executes.  LINE text is parsed on the reactor
-     (a parse error never acquires the shard, and never touches the
-     engine), so the job carries statements, not text. *)
-  type job =
-    | Run_line of { sid : int; shard : int; statements : Ast.statement list }
-    | Run_event of {
-        sid : int;
-        shard : int;
-        etype : Event_type.t;
-        oid : int;
-      }  (** the text EVENT verb, resolved on the reactor *)
-    | Run_events of {
-        sid : int;
-        shard : int;
-        payload : string;
-        etypes : Event_type.t option array;
-            (** the session's table at submit time — an immutable
-                snapshot, so an ETYPE later in the pipeline cannot
-                retroactively rebind ids of frames already in flight *)
-      }  (** a raw binary EVENT/BATCH payload, decoded on the worker *)
-    | Run_commit of { sid : int; shard : int }
-    | Run_abort of { sid : int; shard : int; quiet : bool }
-    | Run_stats of { sid : int; shard : int; note : string }
-    | Run_sub of { sid : int; shard : int; sub : int; spec : Rule.spec }
-        (** define + watch the subscription's rule; the spec was parsed
-            and validated on the reactor *)
-    | Run_unsub of {
-        sid : int;
-        shard : int;
-        sub : int;
-        rule : string;
-        quiet : bool;  (** disconnect cleanup: no reply *)
-      }
-
-  type completion = {
-    done_sid : int;
-    done_reply : Protocol.reply option;
-    done_commit : (int * int) option;
-        (** [(shard, seq)] when the job was a successful journaled COMMIT *)
-    done_notifies : Engine.activation list;
-        (** committed activations of watched rules this COMMIT made
-            deliverable, in commit order *)
-    done_sub_failed : int option;
-        (** the engine refused this Run_sub: the reactor rolls back the
-            eager registry entry *)
-    done_unsub : int option;
-        (** this Run_unsub finished: the reactor drops the registry
-            entry now (not at submit), so earlier commits' notifies
-            still routed *)
-  }
-
-  let completion ?reply ?commit ?(notifies = []) ?sub_failed ?unsub sid =
-    {
-      done_sid = sid;
-      done_reply = reply;
-      done_commit = commit;
-      done_notifies = notifies;
-      done_sub_failed = sub_failed;
-      done_unsub = unsub;
-    }
-
-  type worker = {
-    w_index : int;
-    w_cmds : job Mailbox.t;
-    w_out : completion Mailbox.t;
-    w_deferred : job Queue.t;
-        (** reactor-side overflow, flushed into [w_cmds] ahead of new
-            submissions so the per-worker FIFO order holds *)
-    mutable w_domain : unit Domain.t option;
-  }
-
-  type runtime =
-    | Inline
-    | Threaded of {
-        n : int;  (** worker count; shard [i] belongs to worker [i mod n] *)
-        workers : worker array;
-        waker : Mailbox.Waker.waker;
-      }
-
   type t = {
     engines : int;
     shards : shard array;
@@ -206,7 +105,6 @@ module Manager = struct
     max_pending : int;
     extra_stats : (unit -> string) option;
     mutable down : bool;
-    runtime : runtime;
     mutable standby_mode : bool;
         (** a replication follower: writes are refused, records shipped
             from a primary apply through {!repl_apply}, {!promote} flips
@@ -223,18 +121,12 @@ module Manager = struct
             cadence is due first fires *)
     gc_floors : int Atomic.t array;
         (** per-shard replication ack floor, written by the reactor
-            ({!set_gc_floor}) and read by the engine's GC callback on the
-            shard's worker domain; [max_int] = no follower pins
-            anything *)
+            ({!set_gc_floor}) and read by the engine's GC callback;
+            [max_int] = no follower pins anything *)
     boot_seqs : int array;
-        (** each shard's journal commit sequence right after boot, read
-            before any worker domain spawns (the reactor's race-free
-            baseline for replication head tracking) *)
+        (** each shard's journal commit sequence right after boot (the
+            reactor's baseline for replication head tracking) *)
   }
-
-  (* Commands queued per worker mailbox; sized so a full complement of
-     pipelining sessions rarely defers, without unbounded buffering. *)
-  let mailbox_capacity = 1024
 
   (* ------------------------------------------------------------ setup *)
 
@@ -378,12 +270,10 @@ module Manager = struct
      alike. *)
   let pin t key = Fnv.hash key mod t.engines
 
-  (* ------------------------------------------------- worker execution *)
+  (* -------------------------------------------------- shard execution *)
 
-  (* Everything below [run_line]/[do_commit]/[do_stats] touches only the
-     shard's own interp/journal/executed cell: exclusive access is by
-     construction — inline mode runs them on the reactor, threaded mode
-     on the one worker domain the shard maps to. *)
+  (* Everything below [run_line]/[do_commit]/[stats_text] touches only
+     the shard's own interp/journal/executed cell. *)
 
   let trim_trailing_newlines s =
     let n = ref (String.length s) in
@@ -414,6 +304,11 @@ module Manager = struct
         | [] -> Protocol.Ok_ (trim_trailing_newlines (Interp.output interp))
         | rules -> Protocol.Triggered rules)
 
+  let executed_reply shard =
+    match List.rev !(shard.executed) with
+    | [] -> Protocol.Ok_ ""
+    | rules -> Protocol.Triggered rules
+
   (* Besides the reply, a successful commit on a journaled shard reports
      the commit sequence its marker carries — what a replication follower
      must acknowledge before the reply may be released under
@@ -423,12 +318,7 @@ module Manager = struct
     shard.executed := [];
     match Interp.run_statement shard.interp Ast.Commit with
     | Ok () ->
-        let reply =
-          match List.rev !(shard.executed) with
-          | [] -> Protocol.Ok_ ""
-          | rules -> Protocol.Triggered rules
-        in
-        (reply, Option.map Journal.commit_seq shard.journal)
+        (executed_reply shard, Option.map Journal.commit_seq shard.journal)
     | Error msg ->
         (* A failed commit (e.g. a non-terminating deferred cascade)
            leaves no committed state to hand over: abort, so the shard
@@ -437,11 +327,6 @@ module Manager = struct
         (Protocol.Err ("engine", msg ^ " (transaction aborted)"), None)
 
   let do_abort shard = Engine.abort (Interp.engine shard.interp)
-
-  let executed_reply shard =
-    match List.rev !(shard.executed) with
-    | [] -> Protocol.Ok_ ""
-    | rules -> Protocol.Triggered rules
 
   (* One external event occurrence as its own engine line (the text
      EVENT verb, etype resolved on the reactor). *)
@@ -456,7 +341,7 @@ module Manager = struct
 
   (* Decodes and applies one binary EVENT/BATCH payload: the per-record
      loop — field validation, etype-id resolution, engine ingestion —
-     runs here, on the shard's worker domain, not the reactor.  A BATCH
+     runs here, once the frame holds its shard.  A BATCH
      is exactly that many single-event lines with ONE reply: the rules
      every record executed, in order, or the first error — preceding
      records stay applied and the transaction stays open (the client
@@ -495,8 +380,7 @@ module Manager = struct
         in
         apply records
 
-  (* [note] is the ownership annotation, computed where the ownership
-     bookkeeping lives (the reactor) and carried into the job. *)
+  (* [note] is the session's ownership annotation ([greeting_note]). *)
   let stats_text t ~sid ~shard_idx ~note =
     let shard = t.shards.(shard_idx) in
     let engine = Interp.engine shard.interp in
@@ -554,73 +438,13 @@ module Manager = struct
         end);
     Buffer.contents buf
 
-  let exec_job t = function
-    | Run_line { sid; shard; statements } ->
-        completion sid ~reply:(run_line t.shards.(shard) statements)
-    | Run_event { sid; shard; etype; oid } ->
-        completion sid ~reply:(run_event t.shards.(shard) ~etype ~oid)
-    | Run_events { sid; shard; payload; etypes } ->
-        completion sid ~reply:(run_events t.shards.(shard) ~etypes payload)
-    | Run_commit { sid; shard } ->
-        let reply, seq = do_commit t.shards.(shard) in
-        (* Drained right after the commit point: the activations this
-           transaction (and no aborted one) made deliverable, in commit
-           order — the reactor routes them before the commit's reply. *)
-        let notifies =
-          Engine.drain_activations (Interp.engine t.shards.(shard).interp)
-        in
-        let c = completion sid ~reply ~notifies in
-        { c with done_commit = Option.map (fun seq -> (shard, seq)) seq }
-    | Run_abort { sid; shard; quiet } ->
-        do_abort t.shards.(shard);
-        if quiet then completion sid
-        else completion sid ~reply:(Protocol.Ok_ "aborted")
-    | Run_stats { sid; shard; note } ->
-        completion sid ~reply:(Protocol.Ok_ (stats_text t ~sid ~shard_idx:shard ~note))
-    | Run_sub { sid; shard; sub; spec } -> (
-        let engine = Interp.engine t.shards.(shard).interp in
-        match Engine.define_dynamic engine spec with
-        | Error (`Rule_error msg) ->
-            completion sid ~reply:(Protocol.Err ("engine", msg)) ~sub_failed:sub
-        | Ok _ ->
-            Engine.watch_rule engine spec.Rule.name;
-            completion sid ~reply:(Protocol.Ok_ ""))
-    | Run_unsub { sid; shard; sub; rule; quiet } ->
-        let engine = Interp.engine t.shards.(shard).interp in
-        Engine.unwatch_rule engine rule;
-        (match Engine.undefine engine rule with
-        | Ok () -> ()
-        | Error (`Rule_error _) -> ());
-        let c = if quiet then completion sid else completion sid ~reply:(Protocol.Ok_ "") in
-        { c with done_unsub = Some sub }
-
-  let worker_loop t ~n ~waker w =
-    let rec loop () =
-      match Mailbox.pop w.w_cmds with
-      | None -> ()  (* closed and drained: shutdown *)
-      | Some job ->
-          let c = exec_job t job in
-          ignore (Mailbox.push w.w_out c);
-          Mailbox.Waker.wake waker;
-          loop ()
-    in
-    loop ();
-    (* The worker owns its shards' journals from spawn to exit; closing
-       here happens-before the reactor's [Domain.join]. *)
-    Array.iteri
-      (fun i shard ->
-        if i mod n = w.w_index then Option.iter Journal.close shard.journal)
-      t.shards;
-    Mailbox.Waker.wake waker
-
   (* ---------------------------------------------------------- create *)
 
-  let create ~engines ?(domains = 0) ?journal_dir ?(fsync = Journal.Per_commit)
-      ?boot_script ?(max_pending = 64) ?extra_stats ?(standby = false)
-      ?checkpoint_every ?checkpoint_interval () =
+  let create ~engines ?journal_dir ?(fsync = Journal.Per_commit) ?boot_script
+      ?(max_pending = 64) ?extra_stats ?(standby = false) ?checkpoint_every
+      ?checkpoint_interval () =
     let ( let* ) = Result.bind in
     if engines <= 0 then Error "engines must be positive"
-    else if domains < 0 then Error "domains must be non-negative"
     else if (match checkpoint_every with Some n -> n <= 0 | None -> false)
     then Error "checkpoint interval must be positive"
     else if
@@ -645,29 +469,6 @@ module Manager = struct
         in
         build [] 0
       in
-      let runtime =
-        (* A standby applies the replication stream from the reactor
-           thread, so it always runs inline; the worker domains start at
-           promotion time in a later revision — for now a promoted
-           follower keeps serving inline. *)
-        if domains = 0 || standby then Inline
-        else
-          let n = min domains engines in
-          Threaded
-            {
-              n;
-              waker = Mailbox.Waker.create ();
-              workers =
-                Array.init n (fun i ->
-                    {
-                      w_index = i;
-                      w_cmds = Mailbox.create mailbox_capacity;
-                      w_out = Mailbox.create mailbox_capacity;
-                      w_deferred = Queue.create ();
-                      w_domain = None;
-                    });
-            }
-      in
       let shards = Array.of_list shards in
       let boot_seqs =
         Array.map
@@ -675,7 +476,7 @@ module Manager = struct
             match shard.journal with Some j -> Journal.commit_seq j | None -> 0)
           shards
       in
-      let t =
+      Ok
         {
           engines;
           shards;
@@ -684,7 +485,6 @@ module Manager = struct
           max_pending;
           extra_stats;
           down = false;
-          runtime;
           standby_mode = standby;
           fsync;
           boot_script;
@@ -693,32 +493,17 @@ module Manager = struct
           gc_floors;
           boot_seqs;
         }
-      in
-      (match t.runtime with
-      | Inline -> ()
-      | Threaded { n; workers; waker } ->
-          Array.iter
-            (fun w ->
-              w.w_domain <- Some (Domain.spawn (fun () -> worker_loop t ~n ~waker w)))
-            workers);
-      Ok t
 
   let engines t = t.engines
-  let domains t = match t.runtime with Inline -> 0 | Threaded { n; _ } -> n
 
   (* The reactor publishes each shard's replication ack floor (the lowest
      commit sequence every attached follower has durably acked;
-     [max_int] without followers): segment GC on the shard's worker
-     domain reads it through the engine's [gc_floor] callback. *)
+     [max_int] without followers): segment GC reads it through the
+     engine's [gc_floor] callback. *)
   let set_gc_floor t ~shard floor = Atomic.set t.gc_floors.(shard) floor
   let standby t = t.standby_mode
   let boot_seqs t = Array.copy t.boot_seqs
   let session_count t = Hashtbl.length t.sessions
-
-  let wakeup_fd t =
-    match t.runtime with
-    | Inline -> None
-    | Threaded { waker; _ } -> Some (Mailbox.Waker.fd waker)
 
   let open_session t =
     let sid = t.next_sid in
@@ -731,7 +516,6 @@ module Manager = struct
         pending = Queue.create ();
         waiting = false;
         closed = false;
-        inflight = 0;
         etypes = [||];
         subs = Hashtbl.create 4;
       };
@@ -752,46 +536,12 @@ module Manager = struct
     | Some s -> s.waiting || not (Queue.is_empty s.pending)
     | None -> false
 
-  let idle t sid =
-    match Hashtbl.find_opt t.sessions sid with
-    | None -> true
-    | Some s -> Queue.is_empty s.pending && s.inflight = 0
-
   let journal_paths t =
     Array.to_list t.shards
     |> List.filter_map (fun shard ->
            match shard.journal with
            | Some j -> Some (Journal.path j)
            | None -> Option.map Journal.Sink.path shard.repl_sink)
-
-  (* ------------------------------------------------------- submission *)
-
-  let worker_of t shard_idx =
-    match t.runtime with
-    | Inline -> invalid_arg "Session.Manager: no workers in inline mode"
-    | Threaded { n; workers; _ } -> workers.(shard_idx mod n)
-
-  (* The reactor never blocks: a push refused by a full mailbox lands in
-     the worker's deferred queue instead, flushed (in order, ahead of
-     anything newer) by [pump] as completions free slots. *)
-  let submit_job t shard_idx job =
-    let w = worker_of t shard_idx in
-    if not (Queue.is_empty w.w_deferred && Mailbox.try_push w.w_cmds job) then
-      Queue.add job w.w_deferred
-
-  let submit t s job =
-    s.inflight <- s.inflight + 1;
-    submit_job t s.shard job
-
-  let flush_deferred w =
-    let rec go () =
-      match Queue.peek_opt w.w_deferred with
-      | Some job when Mailbox.try_push w.w_cmds job ->
-          ignore (Queue.pop w.w_deferred);
-          go ()
-      | Some _ | None -> ()
-    in
-    go ()
 
   (* -------------------------------------------------------- execution *)
 
@@ -864,8 +614,8 @@ module Manager = struct
 
   (* Routes one committed activation to its subscriber, by rule name.  A
      missing session or registry entry means the subscriber disconnected
-     (or unsubscribed) after the commit was submitted — nobody is owed
-     the notify, it drops here. *)
+     while its rule still awaited removal at the shard's next transaction
+     boundary — nobody is owed the notify, it drops here. *)
   let route_activation t acc (a : Engine.activation) =
     match parse_sub_rule_name a.Engine.act_rule with
     | None -> ()
@@ -898,26 +648,20 @@ module Manager = struct
         ( String.sub arg 0 i,
           String.trim (String.sub arg (i + 1) (String.length arg - i - 1)) )
 
-  (* ETYPE: pure session state on the reactor.  The table is replaced,
-     never mutated in place, so snapshots shipped with in-flight jobs
-     keep the binding they were submitted under.  Any event type the
-     text grammar can name is internable — external events by bare name,
-     operation events as "op(class)". *)
+  (* ETYPE: pure session state.  Any event type the text grammar can name
+     is internable — external events by bare name, operation events as
+     "op(class)". *)
   let exec_etype s ~id ~name =
     match Event_type.of_string name with
     | Error msg -> Protocol.Err ("parse", msg)
     | Ok etype ->
         let len = Array.length s.etypes in
-        let table =
-          if id < len then Array.copy s.etypes
-          else begin
-            let grown = Array.make (id + 1) None in
-            Array.blit s.etypes 0 grown 0 len;
-            grown
-          end
-        in
-        table.(id) <- Some etype;
-        s.etypes <- table;
+        if id >= len then begin
+          let grown = Array.make (id + 1) None in
+          Array.blit s.etypes 0 grown 0 len;
+          s.etypes <- grown
+        end;
+        s.etypes.(id) <- Some etype;
         Protocol.Ok_ ""
 
   let greeting_note s shard =
@@ -926,7 +670,7 @@ module Manager = struct
     | Some _ -> " (shard busy)"
     | None -> ""
 
-  (* HELLO is pure reactor state in both modes. *)
+  (* HELLO is pure session state. *)
   let exec_hello t s arg acc =
     let reply r = push acc (Reply (s.id, r)) in
     let version, key = split_hello arg in
@@ -953,6 +697,12 @@ module Manager = struct
       push acc (Close s.id)
     end
 
+  (* Takes a subscription rule out of the engine; a rule already gone is
+     not an error. *)
+  let drop_rule engine rule =
+    Engine.unwatch_rule engine rule;
+    match Engine.undefine engine rule with Ok () | Error (`Rule_error _) -> ()
+
   let park s shard =
     if not s.waiting then begin
       s.waiting <- true;
@@ -962,28 +712,16 @@ module Manager = struct
   (* Undefines the subscription rules of disconnected sessions, at a
      transaction boundary of their shard: called whenever the shard
      frees (and at disconnect time when it already is free). *)
-  let flush_dropped t shard =
+  let flush_dropped shard =
     match shard.dropped_subs with
     | [] -> ()
     | dropped ->
         shard.dropped_subs <- [];
-        List.iter
-          (fun (sid, sub, rule) ->
-            match t.runtime with
-            | Inline ->
-                let engine = Interp.engine shard.interp in
-                Engine.unwatch_rule engine rule;
-                (match Engine.undefine engine rule with
-                | Ok () -> ()
-                | Error (`Rule_error _) -> ())
-            | Threaded _ ->
-                submit_job t shard.idx
-                  (Run_unsub { sid; shard = shard.idx; sub; rule; quiet = true }))
-          (List.rev dropped)
+        List.iter (drop_rule (Interp.engine shard.interp)) (List.rev dropped)
 
   let rec release_shard t shard acc =
     shard.owner <- None;
-    flush_dropped t shard;
+    flush_dropped shard;
     drain_waiters t shard acc
 
   (* Wakes the next waiting sessions of a freed shard, FIFO; each woken
@@ -1001,12 +739,10 @@ module Manager = struct
       drain_waiters t shard acc
     end
 
+  (* Runs the session's queued commands in order until one needs a shard
+     another session holds (then the session parks as that shard's
+     waiter) or the queue empties. *)
   and process_session t s acc =
-    match t.runtime with
-    | Inline -> process_inline t s acc
-    | Threaded _ -> process_threaded t s acc
-
-  and process_inline t s acc =
     if (not (Queue.is_empty s.pending)) && not s.closed then begin
       let shard = t.shards.(s.shard) in
       let busy =
@@ -1014,12 +750,12 @@ module Manager = struct
       in
       if requires_shard (Queue.peek s.pending) && busy then park s shard
       else begin
-        exec_inline t s (Queue.pop s.pending) acc;
-        process_inline t s acc
+        exec t s (Queue.pop s.pending) acc;
+        process_session t s acc
       end
     end
 
-  and exec_inline t s input acc =
+  and exec t s input acc =
     let shard = t.shards.(s.shard) in
     let engine = Interp.engine shard.interp in
     let reply r = push acc (Reply (s.id, r)) in
@@ -1094,10 +830,7 @@ module Manager = struct
                    ("state", Printf.sprintf "unknown subscription %d" id))
           | Some entry ->
               Hashtbl.remove s.subs id;
-              Engine.unwatch_rule engine entry.sub_rule;
-              (match Engine.undefine engine entry.sub_rule with
-              | Ok () -> ()
-              | Error (`Rule_error _) -> ());
+              drop_rule engine entry.sub_rule;
               reply (Protocol.Ok_ ""))
     | Cmd (Protocol.Etype { id; name }) -> reply (exec_etype s ~id ~name)
     | Cmd (Protocol.Line text) -> (
@@ -1145,273 +878,6 @@ module Manager = struct
         end
         else reply (Protocol.Err ("state", "no open transaction"))
 
-  (* The threaded step: examine (don't yet pop) the head command and
-     either submit it to the session's worker, answer it from the
-     reactor, or leave it queued.  Reactor answers wait for
-     [inflight = 0] so they cannot overtake worker replies; shard
-     commands park behind a busy shard exactly as in inline mode, so the
-     two modes stay observably equivalent. *)
-  and process_threaded t s acc =
-    if (not s.closed) && (not s.waiting) && not (Queue.is_empty s.pending)
-    then begin
-      let shard = t.shards.(s.shard) in
-      let busy =
-        match shard.owner with Some owner -> owner <> s.id | None -> false
-      in
-      let cmd = Queue.peek s.pending in
-      (* Run a reactor-side answer, gated on an empty pipeline. *)
-      let inline_now f =
-        if s.inflight = 0 then begin
-          ignore (Queue.pop s.pending);
-          f ();
-          process_threaded t s acc
-        end
-      in
-      let submit_now job =
-        ignore (Queue.pop s.pending);
-        submit t s job;
-        process_threaded t s acc
-      in
-      if requires_shard cmd && busy then park s shard
-      else
-        match cmd with
-        | Cmd (Protocol.Hello v) -> inline_now (fun () -> exec_hello t s v acc)
-        | Cmd (Protocol.Ping token) ->
-            inline_now (fun () ->
-                push acc
-                  (Reply
-                     ( s.id,
-                       Protocol.Ok_
-                         (if token = "" then "pong" else "pong " ^ token) )))
-        | Cmd Protocol.Stats ->
-            submit_now
-              (Run_stats
-                 { sid = s.id; shard = s.shard; note = greeting_note s shard })
-        | Cmd Protocol.Quit ->
-            inline_now (fun () ->
-                if shard.owner = Some s.id then begin
-                  submit t s
-                    (Run_abort { sid = s.id; shard = s.shard; quiet = true });
-                  release_shard t shard acc
-                end;
-                push acc (Reply (s.id, Protocol.Ok_ "bye"));
-                s.closed <- true;
-                push acc (Close s.id))
-        | Cmd (Protocol.Repl_hello _ | Protocol.Repl_ack _ | Protocol.Promote)
-          ->
-            (* Reactor-intercepted before dispatch; see [exec_inline]. *)
-            inline_now (fun () ->
-                push acc
-                  (Reply
-                     ( s.id,
-                       Protocol.Err
-                         ( "proto",
-                           "replication verb outside a replication stream" ) )))
-        | Cmd
-            ( Protocol.Line _ | Protocol.Etype _ | Protocol.Event _
-            | Protocol.Commit | Protocol.Abort | Protocol.Sub _
-            | Protocol.Unsub _ )
-        | Events _
-          when not s.greeted ->
-            inline_now (fun () ->
-                push acc
-                  (Reply (s.id, Protocol.Err ("proto", "HELLO required first"))))
-        | Cmd
-            ( Protocol.Line _ | Protocol.Etype _ | Protocol.Event _
-            | Protocol.Commit | Protocol.Abort | Protocol.Sub _
-            | Protocol.Unsub _ )
-        | Events _
-          when t.standby_mode ->
-            inline_now (fun () ->
-                push acc
-                  (Reply
-                     ( s.id,
-                       Protocol.Err
-                         ( "standby",
-                           "server is a warm standby; writes go to the primary"
-                         ) )))
-        | Cmd (Protocol.Sub { id; binary; spec }) ->
-            (* Same boundary/duplicate checks as inline; the registry
-               entry is written eagerly at submit (like shard ownership),
-               so a pipelined duplicate SUB or an immediate UNSUB sees
-               the in-flight define.  A failed define rolls it back at
-               completion ([done_sub_failed]). *)
-            if shard.owner = Some s.id then
-              inline_now (fun () ->
-                  push acc
-                    (Reply
-                       ( s.id,
-                         Protocol.Err
-                           ("state", "SUB requires a closed transaction") )))
-            else if Hashtbl.mem s.subs id then
-              inline_now (fun () ->
-                  push acc
-                    (Reply
-                       ( s.id,
-                         Protocol.Err
-                           ( "state",
-                             Printf.sprintf "subscription %d already registered"
-                               id ) )))
-            else (
-              match sub_spec ~sid:s.id ~sub:id spec with
-              | Error msg ->
-                  inline_now (fun () ->
-                      push acc (Reply (s.id, Protocol.Err ("parse", msg))))
-              | Ok rule_spec ->
-                  Hashtbl.replace s.subs id
-                    { sub_rule = rule_spec.Rule.name; sub_bin = binary };
-                  submit_now
-                    (Run_sub
-                       { sid = s.id; shard = s.shard; sub = id; spec = rule_spec }))
-        | Cmd (Protocol.Unsub { id }) -> (
-            if shard.owner = Some s.id then
-              inline_now (fun () ->
-                  push acc
-                    (Reply
-                       ( s.id,
-                         Protocol.Err
-                           ("state", "UNSUB requires a closed transaction") )))
-            else
-              match Hashtbl.find_opt s.subs id with
-              | None ->
-                  inline_now (fun () ->
-                      push acc
-                        (Reply
-                           ( s.id,
-                             Protocol.Err
-                               ( "state",
-                                 Printf.sprintf "unknown subscription %d" id ) )))
-              | Some entry ->
-                  (* The registry entry survives until the completion:
-                     commits already in the worker's FIFO ahead of this
-                     UNSUB still route their notifies. *)
-                  submit_now
-                    (Run_unsub
-                       {
-                         sid = s.id;
-                         shard = s.shard;
-                         sub = id;
-                         rule = entry.sub_rule;
-                         quiet = false;
-                       }))
-        | Cmd (Protocol.Etype { id; name }) ->
-            (* Gated on an empty pipeline like every reactor answer; a
-               frame submitted before this point keeps its snapshot. *)
-            inline_now (fun () ->
-                push acc (Reply (s.id, exec_etype s ~id ~name)))
-        | Cmd (Protocol.Line text) -> (
-            match line_statements text with
-            | Error (code, msg) ->
-                inline_now (fun () ->
-                    push acc (Reply (s.id, Protocol.Err (code, msg))))
-            | Ok statements ->
-                (* Eager acquire: ownership is reactor state; the worker
-                   sees only the statements. *)
-                shard.owner <- Some s.id;
-                submit_now
-                  (Run_line { sid = s.id; shard = s.shard; statements }))
-        | Cmd (Protocol.Event { etype; oid }) -> (
-            match Event_type.of_string etype with
-            | Error msg ->
-                inline_now (fun () ->
-                    push acc (Reply (s.id, Protocol.Err ("parse", msg))))
-            | Ok etype ->
-                shard.owner <- Some s.id;
-                submit_now
-                  (Run_event { sid = s.id; shard = s.shard; etype; oid }))
-        | Events payload -> (
-            (* O(1) shape check on the reactor; malformed frames never
-               acquire the shard, and their ERR stays in pipeline order
-               behind in-flight replies.  The per-record decode happens
-               on the worker. *)
-            match Protocol.check_binary payload with
-            | Error msg ->
-                inline_now (fun () ->
-                    push acc (Reply (s.id, Protocol.Err ("proto", msg))))
-            | Ok _count ->
-                shard.owner <- Some s.id;
-                submit_now
-                  (Run_events
-                     {
-                       sid = s.id;
-                       shard = s.shard;
-                       payload;
-                       etypes = s.etypes;
-                     }))
-        | Cmd Protocol.Commit ->
-            if shard.owner = Some s.id then begin
-              ignore (Queue.pop s.pending);
-              submit t s (Run_commit { sid = s.id; shard = s.shard });
-              (* Eager release: the waiters' commands enqueue behind this
-                 COMMIT in the same FIFO mailbox. *)
-              release_shard t shard acc;
-              process_threaded t s acc
-            end
-            else
-              inline_now (fun () ->
-                  push acc
-                    (Reply (s.id, Protocol.Err ("state", "no open transaction"))))
-        | Cmd Protocol.Abort ->
-            if shard.owner = Some s.id then begin
-              ignore (Queue.pop s.pending);
-              submit t s
-                (Run_abort { sid = s.id; shard = s.shard; quiet = false });
-              release_shard t shard acc;
-              process_threaded t s acc
-            end
-            else
-              inline_now (fun () ->
-                  push acc
-                    (Reply (s.id, Protocol.Err ("state", "no open transaction"))))
-    end
-
-  (* ------------------------------------------------------ completions *)
-
-  let handle_completion t c acc =
-    (* Activations route before the session lookup — they belong to the
-       subscribers named in the rules, not to the committing session,
-       which may itself already be gone. *)
-    List.iter (route_activation t acc) c.done_notifies;
-    match Hashtbl.find_opt t.sessions c.done_sid with
-    | None -> ()  (* session disconnected while the job was in flight *)
-    | Some s ->
-        if s.inflight > 0 then s.inflight <- s.inflight - 1;
-        (match c.done_sub_failed with
-        | Some sub -> Hashtbl.remove s.subs sub
-        | None -> ());
-        (match c.done_unsub with
-        | Some sub -> Hashtbl.remove s.subs sub
-        | None -> ());
-        (match c.done_reply with
-        | Some r when not s.closed -> (
-            match c.done_commit with
-            | Some (shard, seq) ->
-                push acc (Committed { sid = s.id; shard; seq; reply = r })
-            | None -> push acc (Reply (s.id, r)))
-        | Some _ | None -> ());
-        if not s.closed then process_session t s acc
-
-  let pump t =
-    match t.runtime with
-    | Inline -> []
-    | Threaded _ when t.down -> []
-    | Threaded { workers; waker; _ } ->
-        Mailbox.Waker.drain waker;
-        let acc = ref [] in
-        Array.iter
-          (fun w ->
-            let rec drain () =
-              match Mailbox.try_pop w.w_out with
-              | Some c ->
-                  handle_completion t c acc;
-                  drain ()
-              | None -> ()
-            in
-            drain ();
-            flush_deferred w)
-          workers;
-        List.rev !acc
-
   (* ---------------------------------------------------------- feeding *)
 
   let enqueue t s input acc =
@@ -1450,8 +916,8 @@ module Manager = struct
           List.rev !acc
 
   (* The binary twin of [on_payload]: the payload goes in raw — tag
-     classification already happened (one byte), the shape check runs at
-     dispatch, and the record decode on the worker domain. *)
+     classification already happened (one byte); the shape check and the
+     record decode run when the frame executes. *)
   let on_binary t sid payload =
     if t.down then []
     else
@@ -1475,19 +941,15 @@ module Manager = struct
            (the session record just left the table), and the rules leave
            the engine at the shard's next transaction boundary. *)
         Hashtbl.iter
-          (fun sub entry ->
-            shard.dropped_subs <- (sid, sub, entry.sub_rule) :: shard.dropped_subs)
+          (fun _ entry ->
+            shard.dropped_subs <- entry.sub_rule :: shard.dropped_subs)
           s.subs;
         Hashtbl.reset s.subs;
         if shard.owner = Some sid then begin
-          (match t.runtime with
-          | Inline -> do_abort shard
-          | Threaded _ ->
-              submit_job t s.shard
-                (Run_abort { sid; shard = s.shard; quiet = true }));
+          do_abort shard;
           release_shard t shard acc
         end
-        else if shard.owner = None then flush_dropped t shard;
+        else if shard.owner = None then flush_dropped shard;
         List.rev !acc
 
   (* ----------------------------------------------- standby (follower) *)
@@ -1645,63 +1107,15 @@ module Manager = struct
 
   let shutdown t =
     if not t.down then begin
-      (match t.runtime with
-      | Inline ->
-          Array.iter
-            (fun shard ->
-              (match shard.owner with
-              | Some _ ->
-                  do_abort shard;
-                  shard.owner <- None
-              | None -> ());
-              (match shard.journal with
-              | Some j -> Journal.close j
-              | None -> ());
-              match shard.repl_sink with
-              | Some sink -> Journal.Sink.close sink
-              | None -> ())
-            t.shards
-      | Threaded { workers; waker; _ } ->
-          (* Abort whatever transactions are still open — behind any work
-             already queued for their shards. *)
-          Array.iteri
-            (fun i shard ->
-              match shard.owner with
-              | Some sid ->
-                  shard.owner <- None;
-                  submit_job t i (Run_abort { sid; shard = i; quiet = true })
-              | None -> ())
-            t.shards;
-          (* Flush the deferred queues, draining completions to free
-             mailbox slots; the workers are still live, so this settles. *)
-          let rec settle () =
-            if
-              Array.exists
-                (fun w -> not (Queue.is_empty w.w_deferred))
-                workers
-            then begin
-              Array.iter
-                (fun w ->
-                  ignore (Mailbox.try_pop w.w_out);
-                  flush_deferred w)
-                workers;
-              Domain.cpu_relax ();
-              settle ()
-            end
-          in
-          settle ();
-          (* Closing [w_cmds] is the stop signal: each worker finishes
-             its queue, closes its journals, and exits.  [w_out] closes
-             too so a worker blocked publishing a completion is released
-             (its push returns [false]) rather than deadlocking the
-             join. *)
-          Array.iter
-            (fun w ->
-              Mailbox.close w.w_cmds;
-              Mailbox.close w.w_out)
-            workers;
-          Array.iter (fun w -> Option.iter Domain.join w.w_domain) workers;
-          Mailbox.Waker.dispose waker);
+      Array.iter
+        (fun shard ->
+          if shard.owner <> None then begin
+            do_abort shard;
+            shard.owner <- None
+          end;
+          Option.iter Journal.close shard.journal;
+          Option.iter Journal.Sink.close shard.repl_sink)
+        t.shards;
       t.down <- true;
       Hashtbl.reset t.sessions
     end

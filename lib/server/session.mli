@@ -1,6 +1,6 @@
 (** Session management for [chimera serve]: per-connection sessions
-    multiplexed onto [--engines N] independent engine shards, executed
-    inline or on worker domains.
+    multiplexed onto [--engines N] independent engine shards, all executed
+    inline on the caller's (the reactor's) thread.
 
     Each shard is one ordinary single-threaded engine (wrapped in the
     script interpreter) with its own write-ahead journal; a session is
@@ -14,12 +14,9 @@
     admission control.  An orderly or disorderly close of a session that
     holds a shard aborts its uncommitted transaction.
 
-    With [domains = 0] (the default here) everything runs synchronously
-    on the calling thread.  With [domains = M > 0], M worker domains
-    execute the engine-bound commands — shard [i] belongs to worker
-    [i mod M] — fed through bounded per-worker mailboxes; replies then
-    surface asynchronously from {!pump}, which the caller runs whenever
-    {!wakeup_fd} signals (or once per reactor turn). *)
+    Every call runs synchronously: the replies a call makes owed — the
+    caller's own, and those of waiters a released shard woke — come back
+    as its event list. *)
 
 open Chimera_event
 
@@ -54,7 +51,6 @@ module Manager : sig
 
   val create :
     engines:int ->
-    ?domains:int ->
     ?journal_dir:string ->
     ?fsync:Journal.sync_policy ->
     ?boot_script:string ->
@@ -65,23 +61,20 @@ module Manager : sig
     ?checkpoint_interval:float ->
     unit ->
     (t, string) result
-  (** [engines] must be positive.  [domains] (default [0]) is the worker
-      domain count: [0] executes inline on the caller's thread, [M > 0]
-      spawns [min M engines] worker domains at creation.  [journal_dir]
+  (** [engines] must be positive.  [journal_dir]
       (created if missing) gives every shard a write-ahead journal at
       [<dir>/shard-<i>.journal]; [boot_script] is rule-language source
       executed (and committed) on every shard before the first
       connection — the conventional way to predefine schema and rules.
       [extra_stats] is appended to every [STATS] reply (the server
-      contributes its connection counters through it); with worker
-      domains it is called from them, so it must be domain-safe.
+      contributes its connection counters through it).
 
       [standby] (default [false]) creates a replication follower: shards
       run only the boot script's {e definitions} (the boot transaction's
       operations arrive from the primary's stream), carry a raw
       {!Journal.Sink} instead of an engine-attached journal, refuse
-      [LINE]/[COMMIT]/[ABORT] with [ERR standby], and always run inline
-      ([domains] is ignored).  Feed the stream through {!repl_reset} and
+      [LINE]/[COMMIT]/[ABORT] with [ERR standby].  Feed the stream
+      through {!repl_reset} and
       {!repl_apply}; {!promote} turns the standby into a primary.
 
       [checkpoint_every] (positive commits) and [checkpoint_interval]
@@ -94,25 +87,22 @@ module Manager : sig
 
   val engines : t -> int
 
-  val domains : t -> int
-  (** Worker domains actually running; [0] in inline mode. *)
-
   val set_gc_floor : t -> shard:int -> int -> unit
   (** Publishes the shard's replication ack floor — the lowest commit
       sequence every attached follower has durably acknowledged, or
       [max_int] when no follower is attached.  The reactor owns the
       follower bookkeeping and calls this on every ack, attach and
-      detach; segment GC (on the shard's worker domain) never retires a
-      sealed segment above the floor.  Domain-safe. *)
+      detach; segment GC never retires a sealed segment above the
+      floor. *)
 
   val standby : t -> bool
   (** The manager is a replication follower (created with [~standby:true]
       and not yet promoted). *)
 
   val boot_seqs : t -> int array
-  (** Each shard's journal commit sequence right after boot — read before
-      any worker domain spawns, so the caller has a race-free baseline to
-      track per-shard commit sequences from [Committed] events. *)
+  (** Each shard's journal commit sequence right after boot — the
+      caller's baseline to track per-shard commit sequences from
+      [Committed] events. *)
 
   val open_session : t -> int
   (** Registers a fresh session (in the greeting state) and returns its id. *)
@@ -133,27 +123,23 @@ module Manager : sig
   (** The session currently holds its shard (open transaction). *)
 
   val blocked : t -> int -> bool
-  (** The session has commands queued (behind a busy shard, or behind its
-      own in-flight pipeline): the caller should stop reading from its
-      connection until events release it. *)
-
-  val idle : t -> int -> bool
-  (** Nothing queued and nothing in flight for this session — its reply
-      stream is complete as of now.  What a draining server polls before
-      it closes a connection. *)
+  (** The session has commands queued behind a busy shard: the caller
+      should stop reading from its connection until events release it.
+      While it is not blocked, every reply it is owed has been returned —
+      what a draining server waits for before it closes a connection. *)
 
   val on_payload : t -> int -> string -> event list
   (** Feed one decoded frame payload from a session.  Parse errors and
       protocol-state violations come back as [ERR] replies; engine-bound
       commands may queue (empty event list) and their replies surface
-      from the [on_payload]/[disconnect] call that released the shard —
-      or, with worker domains, from a later {!pump}. *)
+      from the [on_payload]/[on_binary]/[disconnect] call that released
+      the shard. *)
 
   val on_binary : t -> int -> string -> event list
   (** Feed one binary EVENT/BATCH frame payload (raw bytes, tag byte
-      included) from a session.  The reactor only runs an O(1) shape
-      check; the per-record decode and the engine ingestion run on the
-      shard's worker domain.  Each frame yields exactly one reply in
+      included) from a session.  An O(1) shape check runs before the
+      frame acquires its shard; the per-record decode runs with the
+      engine ingestion.  Each frame yields exactly one reply in
       pipeline order — for a BATCH, [TRIGGERED] with every executed
       rule in order, or the first error (preceding records stay applied
       and the transaction stays open).  Event-type ids resolve through
@@ -164,19 +150,9 @@ module Manager : sig
       session's open transaction, drops its queue, and wakes waiters of
       its shard — their replies are the returned events.  Idempotent. *)
 
-  val wakeup_fd : t -> Unix.file_descr option
-  (** With worker domains, a self-pipe read end that becomes readable
-      when completions are waiting: add it to the reactor's select read
-      set and call {!pump} on wakeup.  [None] in inline mode. *)
-
-  val pump : t -> event list
-  (** Collect finished worker jobs: their replies, plus whatever woke up
-      behind them (a completed COMMIT wakes the shard's waiters).  Cheap
-      when there is nothing to do; inline mode always returns []. *)
-
   val shutdown : t -> unit
-  (** Drain epilogue: aborts every open transaction, stops and joins the
-      worker domains, flushes and closes every journal.  The manager
+  (** Drain epilogue: aborts every open transaction, flushes and closes
+      every journal.  The manager
       accepts no further commands. *)
 
   val journal_paths : t -> string list

@@ -640,7 +640,6 @@ let test_failover_drill () =
     {
       Server.default_config with
       Server.engines = 2;
-      domains = Some 0;
       boot_script = Some boot_script;
     }
   in
@@ -783,7 +782,6 @@ let test_checkpointed_attach_and_promote () =
     {
       Server.default_config with
       Server.engines = 1;
-      domains = Some 0;
       boot_script = Some boot_script;
       checkpoint_every = Some 1;
     }
@@ -884,6 +882,109 @@ let test_checkpointed_attach_and_promote () =
   rm_rf dir_a;
   rm_rf dir_b
 
+(* ---------------------------------- outbound descriptors past FD_SETSIZE *)
+
+(* Occupies every free descriptor below FD_SETSIZE (1024) with /dev/null
+   opens, so the next socket this process creates is one [Unix.select]
+   cannot watch.  [None] when the descriptor limit runs out first: no
+   descriptor past FD_SETSIZE can then exist in this process. *)
+let fill_fd_table () =
+  let rec go acc =
+    match Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 with
+    | fd when (Obj.magic fd : int) >= 1023 -> Some (fd :: acc)
+    | fd -> go (fd :: acc)
+    | exception Unix.Unix_error (Unix.EMFILE, _, _) ->
+        List.iter Unix.close acc;
+        None
+  in
+  go []
+
+(* The reactor's own outbound descriptors — a standby's replication link
+   and a promoted server's takeover listener — must never reach a select
+   set past FD_SETSIZE (the whole call fails with EINVAL).  With the fd
+   table full, the link backs off and the takeover is skipped; once
+   descriptors free up, the link attaches and catches up. *)
+let test_outbound_fds_past_fd_setsize () =
+  let dir_a = tmp_dir "fdset-primary" in
+  let dir_b = tmp_dir "fdset-standby" in
+  let dir_c = tmp_dir "fdset-orphan" in
+  let base =
+    {
+      Server.default_config with
+      Server.engines = 1;
+      boot_script = Some boot_script;
+    }
+  in
+  let create config =
+    match Server.create { config with Server.port = 0 } with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
+  in
+  let primary = create { base with Server.journal_dir = Some dir_a } in
+  let follower =
+    create
+      {
+        base with
+        Server.journal_dir = Some dir_b;
+        follow = Some ("127.0.0.1", Server.port primary);
+      }
+  in
+  (* A standby of an address nobody listens on, promoted on its first
+     turn: it then tries to take that address over. *)
+  let dead_port = free_port () in
+  let orphan =
+    create
+      {
+        base with
+        Server.journal_dir = Some dir_c;
+        follow = Some ("127.0.0.1", dead_port);
+      }
+  in
+  Server.request_promote orphan;
+  let both = [ primary; follower ] in
+  (match fill_fd_table () with
+  | None -> ()
+  | Some fillers ->
+      Fun.protect
+        ~finally:(fun () -> List.iter Unix.close fillers)
+        (fun () ->
+          for _ = 1 to 50 do
+            poll_all (orphan :: both)
+          done);
+      Alcotest.(check int) "no link attached to the primary" 0
+        (Server.active_conns primary);
+      Alcotest.(check bool) "nothing replicated" false
+        (repl_caught_up (Server.manager follower) ~commits:1);
+      Alcotest.(check bool) "orphan promoted" false (Server.standby orphan);
+      (match connect_port dead_port with
+      | c ->
+          close_client c;
+          Alcotest.fail "takeover listener opened past FD_SETSIZE"
+      | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ()));
+  (* Descriptors are back: the link attaches, replays the boot commit,
+     and follows a fresh one. *)
+  await "link attaches" both (fun () ->
+      repl_caught_up (Server.manager follower) ~commits:1);
+  let c = connect primary in
+  hello ~key:" fdset" both c;
+  send both c (Protocol.Line "create item(n = 7)");
+  ignore (expect_triggered both c "primary line");
+  send both c Protocol.Commit;
+  ignore (expect_ok both c "primary commit");
+  await "commit replicated" both (fun () ->
+      repl_caught_up (Server.manager follower) ~commits:2);
+  close_client c;
+  (* The promoted orphan kept its own port and serves writes there. *)
+  let c2 = connect orphan in
+  hello [ orphan ] c2;
+  send [ orphan ] c2 (Protocol.Line "create item(n = 8)");
+  ignore (expect_triggered [ orphan ] c2 "promoted line");
+  send [ orphan ] c2 Protocol.Commit;
+  ignore (expect_ok [ orphan ] c2 "promoted commit");
+  close_client c2;
+  List.iter stop_server [ primary; follower; orphan ];
+  List.iter rm_rf [ dir_a; dir_b; dir_c ]
+
 let suite =
   [
     Alcotest.test_case "repl frames round-trip" `Quick
@@ -906,4 +1007,6 @@ let suite =
       test_failover_drill;
     Alcotest.test_case "attach over GC'd history via checkpoint base" `Quick
       test_checkpointed_attach_and_promote;
+    Alcotest.test_case "link and takeover past FD_SETSIZE back off" `Quick
+      test_outbound_fds_past_fd_setsize;
   ]

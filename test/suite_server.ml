@@ -782,7 +782,7 @@ let test_socket_max_conns_rejects () =
    sleep out its timeout while replies are owed. *)
 let test_socket_pipelined_handoff_no_stall () =
   with_boot_server
-    ~config:{ Server.default_config with Server.engines = 1; domains = Some 0 }
+    ~config:{ Server.default_config with Server.engines = 1 }
   @@ fun srv ->
   let clients = [| connect srv; connect srv |] in
   Fun.protect ~finally:(fun () -> Array.iter close_client clients) @@ fun () ->
@@ -985,16 +985,12 @@ let test_socket_drain_and_recover () =
      Unix.rmdir dir
    with Sys_error _ | Unix.Unix_error _ -> ())
 
-(* The tentpole end to end: 4 shards on 2 worker domains, keyed sessions
-   on distinct shards running transactions concurrently, then a clean
-   drain that joins every domain (stop_server → Manager.shutdown). *)
-let test_socket_multidomain () =
-  with_boot_server
-    ~config:
-      { Server.default_config with Server.engines = 4; domains = Some 2 }
+(* Four shards on the reactor: keyed sessions on distinct shards hold
+   open transactions at the same time, then a clean drain
+   (stop_server → Manager.shutdown). *)
+let test_socket_keyed_shards () =
+  with_boot_server ~config:{ Server.default_config with Server.engines = 4 }
   @@ fun srv ->
-  Alcotest.(check int) "worker domains running" 2
-    (Session.Manager.domains (Server.manager srv));
   (* Four keys that pin to four distinct shards (checked below), so the
      four transactions really are concurrent — none queues behind
      another's shard. *)
@@ -1026,11 +1022,11 @@ let test_socket_multidomain () =
       Alcotest.(check string) ("commit " ^ key) ""
         (expect_ok srv c ("commit " ^ key)))
     clients;
-  (* STATS executes on the worker owning the shard and round-trips. *)
+  (* STATS reports the session's own shard and round-trips. *)
   let _, c0 = List.hd clients in
   send srv c0 Protocol.Stats;
   let stats = expect_ok srv c0 "stats" in
-  Alcotest.(check bool) "stats from the worker" true
+  Alcotest.(check bool) "stats from the shard" true
     (contains_sub stats "engine:");
   List.iter
     (fun (key, c) ->
@@ -1275,7 +1271,7 @@ let test_socket_binary_errors () =
   (* A BATCH whose count disagrees with its length: same. *)
   send_binary srv c ("\x02\x00\x00\x00\x05" ^ String.make 20 '\x00');
   ignore (expect_err srv c "proto" "batch count mismatch");
-  (* A u64 field past the 63-bit int range: rejected on the worker. *)
+  (* A u64 field past the 63-bit int range: rejected at decode. *)
   send srv c (Protocol.Etype { id = 0; name = "tick" });
   ignore (expect_ok srv c "etype");
   send_binary srv c
@@ -1346,8 +1342,7 @@ let test_loadgen_binary_pipelined () =
    between.  The replies must arrive strictly in send order and match,
    payload for payload, a reference that drives [Engine.ingest_event]
    directly: the PING tokens prove no reply jumped the queue, the
-   TRIGGERED lists prove the events hit the rule engine identically.
-   Half the seeds run the worker-domain path, half run inline. *)
+   TRIGGERED lists prove the events hit the rule engine identically. *)
 type diff_op =
   | D_event
   | D_batch of int
@@ -1436,7 +1431,7 @@ let diff_reference ops =
           Protocol.Ok_ "aborted")
     ops
 
-let run_diff_seed ~domains seed =
+let run_diff_seed seed =
   let ops, tx_open = diff_scenario (Random.State.make [| seed |]) 30 in
   let expected = diff_reference ops in
   with_server
@@ -1445,7 +1440,6 @@ let run_diff_seed ~domains seed =
         Server.default_config with
         boot_script = Some tick_boot_script;
         engines = 1;
-        domains;
       }
   @@ fun srv ->
   let c = connect srv in
@@ -1500,9 +1494,7 @@ let run_diff_seed ~domains seed =
 
 let test_differential_binary_pipelined () =
   for seed = 0 to 159 do
-    (* Even seeds inline on the reactor, odd seeds through a worker
-       domain: the reply-order invariant holds on both execution paths. *)
-    run_diff_seed ~domains:(if seed mod 2 = 0 then Some 0 else None) seed
+    run_diff_seed seed
   done
 
 (* --------------------------------------------------- live subscriptions *)
@@ -1746,8 +1738,7 @@ let test_sub_overflow_gap () =
     ~config:
       {
         Server.default_config with
-        engines = 1;
-        domains = Some 0 (* inline: the burst lands in one turn *);
+        engines = 1 (* the burst lands in one turn *);
         notify_queue = 2;
         high_water = 0;
       }
@@ -1913,8 +1904,7 @@ let test_loadgen_subscribe () =
 (* The notify-stream differential: the socket subscriber's NOTIFY
    sequence must equal the committed activation log of the same rule
    driven directly through the engine — same activation instants, same
-   bindings, same order — across commits, aborts and batches, inline
-   and through a worker domain. *)
+   bindings, same order — across commits, aborts and batches. *)
 let sub_diff_reference ops =
   let interp = Interp.create () in
   let engine = Interp.engine interp in
@@ -1972,12 +1962,12 @@ let sub_diff_reference ops =
     ops;
   List.rev !acc
 
-let run_sub_diff_seed ~domains seed =
+let run_sub_diff_seed seed =
   let ops, tx_open = diff_scenario (Random.State.make [| 4096 + seed |]) 30 in
   let expected = sub_diff_reference ops in
   let binary = seed mod 4 < 2 in
   with_server
-    ~config:{ Server.default_config with engines = 1; domains }
+    ~config:{ Server.default_config with engines = 1 }
   @@ fun srv ->
   let c = connect srv in
   Fun.protect ~finally:(fun () -> close_client c) @@ fun () ->
@@ -2063,8 +2053,89 @@ let run_sub_diff_seed ~domains seed =
 
 let test_sub_notify_differential () =
   for seed = 0 to 159 do
-    run_sub_diff_seed ~domains:(if seed mod 2 = 0 then Some 0 else None) seed
+    run_sub_diff_seed seed
   done
+
+(* ------------------------------------------------ serve --domains shim *)
+
+(* The CLI binary, built beside this test executable. *)
+let chimera_exe () =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ Filename.parent_dir_name; "bin"; "chimera.exe" ]
+
+(* Reads [fd] until [stop] holds for what was read, EOF, or [deadline]
+   (monotonic seconds) passes; returns everything read. *)
+let read_until ~deadline fd stop =
+  let buf = Buffer.create 256 and chunk = Bytes.create 1024 in
+  let rec go () =
+    let left = deadline -. Monotime.now_s () in
+    if left > 0. && not (stop (Buffer.contents buf)) then
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> ()
+      | _ -> (
+          match Unix.read fd chunk 0 (Bytes.length chunk) with
+          | 0 -> ()
+          | n ->
+              Buffer.add_subbytes buf chunk 0 n;
+              go ())
+  in
+  go ();
+  Buffer.contents buf
+
+(* Runs [chimera serve ARGS] with stdout and stderr on one pipe; [f]
+   gets the child's pid and the pipe's read end, and must see it exit. *)
+let with_serve args f =
+  let exe = chimera_exe () in
+  let r, w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process exe
+      (Array.of_list (exe :: "serve" :: "--port" :: "0" :: args))
+      Unix.stdin w w
+  in
+  Unix.close w;
+  Fun.protect ~finally:(fun () -> Unix.close r) (fun () -> f pid r)
+
+(* The child's exit code; a child still running at [deadline] is
+   killed and fails the test. *)
+let exit_code ~deadline pid =
+  let rec go () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Monotime.now_s () < deadline ->
+        Unix.sleepf 0.01;
+        go ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.fail "serve did not exit"
+    | _, Unix.WEXITED code -> code
+    | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) ->
+        Alcotest.failf "serve died on signal %d" n
+  in
+  go ()
+
+(* [--domains] survives only so existing invocations keep working: [0]
+   is a no-op, any other value is refused with exit 1. *)
+let test_serve_domains_shim () =
+  with_serve [ "--domains"; "0" ] (fun pid r ->
+      let deadline = Monotime.now_s () +. 20. in
+      let out = read_until ~deadline r (fun s -> contains_sub s "\n") in
+      Alcotest.(check bool)
+        (Printf.sprintf "--domains 0 serves: %S" out)
+        true
+        (contains_sub out "listening on 127.0.0.1:"
+        && contains_sub out "inline on the reactor thread");
+      Unix.kill pid Sys.sigterm;
+      ignore (read_until ~deadline r (fun _ -> false));
+      Alcotest.(check int) "drains and exits 0" 0 (exit_code ~deadline pid));
+  with_serve [ "--domains"; "2" ] (fun pid r ->
+      let deadline = Monotime.now_s () +. 20. in
+      let out = read_until ~deadline r (fun _ -> false) in
+      Alcotest.(check int) "--domains 2 exits 1" 1 (exit_code ~deadline pid);
+      Alcotest.(check bool)
+        (Printf.sprintf "says why: %S" out)
+        true
+        (contains_sub out "worker domains were removed"))
 
 let suite =
   [
@@ -2103,8 +2174,10 @@ let suite =
       test_socket_fd_setsize_rejects;
     Alcotest.test_case "graceful drain, journals replay" `Quick
       test_socket_drain_and_recover;
-    Alcotest.test_case "keyed sessions across worker domains" `Quick
-      test_socket_multidomain;
+    Alcotest.test_case "keyed sessions across shards" `Quick
+      test_socket_keyed_shards;
+    Alcotest.test_case "serve --domains shim: 0 runs, others exit 1" `Quick
+      test_serve_domains_shim;
     Alcotest.test_case "in-process loadgen" `Quick test_loadgen_in_process;
     Alcotest.test_case "differential: socket vs direct" `Quick
       test_differential_socket_vs_direct;

@@ -170,85 +170,6 @@ let test_shard_skew_regression () =
     (Printf.sprintf "old Hashtbl.hash pinning skews (/4): %.2f" old_worst)
     true (old_worst > 1.5)
 
-(* --- Mailbox ---------------------------------------------------------- *)
-
-let test_mailbox_basics () =
-  let mb = Mailbox.create 2 in
-  Alcotest.(check int) "capacity" 2 (Mailbox.capacity mb);
-  Alcotest.(check bool) "push 1" true (Mailbox.try_push mb 1);
-  Alcotest.(check bool) "push 2" true (Mailbox.try_push mb 2);
-  Alcotest.(check bool) "full refuses" false (Mailbox.try_push mb 3);
-  Alcotest.(check int) "length" 2 (Mailbox.length mb);
-  Alcotest.(check (option int)) "fifo 1" (Some 1) (Mailbox.try_pop mb);
-  Alcotest.(check (option int)) "fifo 2" (Some 2) (Mailbox.try_pop mb);
-  Alcotest.(check (option int)) "empty" None (Mailbox.try_pop mb)
-
-let test_mailbox_close () =
-  let mb = Mailbox.create 4 in
-  Alcotest.(check bool) "push before close" true (Mailbox.push mb 10);
-  Alcotest.(check bool) "push before close" true (Mailbox.push mb 11);
-  Mailbox.close mb;
-  Alcotest.(check bool) "closed" true (Mailbox.closed mb);
-  Alcotest.(check bool) "push after close refused" false (Mailbox.push mb 12);
-  Alcotest.(check bool) "try_push after close refused" false (Mailbox.try_push mb 12);
-  (* Pop drains what was enqueued, then reports closure. *)
-  Alcotest.(check (option int)) "drain 10" (Some 10) (Mailbox.pop mb);
-  Alcotest.(check (option int)) "drain 11" (Some 11) (Mailbox.pop mb);
-  Alcotest.(check (option int)) "closed+empty is None" None (Mailbox.pop mb)
-
-let test_mailbox_cross_domain_fifo () =
-  (* A tiny-capacity mailbox forces the producer domain to block on a
-     full ring while the consumer drains: order must still be FIFO and
-     nothing may be lost or duplicated.  [Core] shadows [Domain] with
-     the workload module, hence [Stdlib.Domain]. *)
-  let n = 10_000 in
-  let mb = Mailbox.create 8 in
-  let producer =
-    Stdlib.Domain.spawn (fun () ->
-        for i = 0 to n - 1 do
-          if not (Mailbox.push mb i) then failwith "push refused"
-        done;
-        Mailbox.close mb)
-  in
-  let next = ref 0 and ok = ref true in
-  let rec drain () =
-    match Mailbox.pop mb with
-    | Some v ->
-        if v <> !next then ok := false;
-        incr next;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Stdlib.Domain.join producer;
-  Alcotest.(check bool) "in order" true !ok;
-  Alcotest.(check int) "all delivered" n !next
-
-let test_mailbox_close_wakes_pop () =
-  (* A consumer blocked on an empty mailbox must wake when another
-     domain closes it. *)
-  let mb : int Mailbox.t = Mailbox.create 4 in
-  let consumer = Stdlib.Domain.spawn (fun () -> Mailbox.pop mb) in
-  Unix.sleepf 0.02;
-  Mailbox.close mb;
-  Alcotest.(check (option int)) "woken with None" None (Stdlib.Domain.join consumer)
-
-let test_waker () =
-  let w = Mailbox.Waker.create () in
-  let fd = Mailbox.Waker.fd w in
-  (* Nothing pending: fd is not readable. *)
-  let r, _, _ = Unix.select [ fd ] [] [] 0.0 in
-  Alcotest.(check bool) "idle fd not readable" true (r = []);
-  Mailbox.Waker.wake w;
-  Mailbox.Waker.wake w;
-  (* wakes coalesce *)
-  let r, _, _ = Unix.select [ fd ] [] [] 0.5 in
-  Alcotest.(check bool) "woken fd readable" true (r <> []);
-  Mailbox.Waker.drain w;
-  let r, _, _ = Unix.select [ fd ] [] [] 0.0 in
-  Alcotest.(check bool) "drained fd not readable" true (r = []);
-  Mailbox.Waker.dispose w
-
 (* --- Loadgen percentile ----------------------------------------------- *)
 
 let test_percentile_edges () =
@@ -401,12 +322,5 @@ let suite =
     Alcotest.test_case "monotime elapsed clamp" `Quick test_monotime_elapsed_clamp;
     Alcotest.test_case "fnv full-string" `Quick test_fnv_full_string;
     Alcotest.test_case "shard skew regression" `Quick test_shard_skew_regression;
-    Alcotest.test_case "mailbox basics" `Quick test_mailbox_basics;
-    Alcotest.test_case "mailbox close" `Quick test_mailbox_close;
-    Alcotest.test_case "mailbox cross-domain fifo" `Quick
-      test_mailbox_cross_domain_fifo;
-    Alcotest.test_case "mailbox close wakes pop" `Quick
-      test_mailbox_close_wakes_pop;
-    Alcotest.test_case "waker" `Quick test_waker;
     Alcotest.test_case "percentile edges" `Quick test_percentile_edges;
   ]
